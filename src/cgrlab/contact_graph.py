@@ -31,6 +31,7 @@ __all__ = [
     "earliest_delivery_route",
     "k_best_routes",
     "build_route_table",
+    "build_route_tables",
     "route_attributes",
     "route_table_csv",
 ]
@@ -105,20 +106,22 @@ def route_attributes(plan: ContactPlan, contacts: list[int], t_now: float = 0.0)
             )
 
     grid = plan.grid
+    windows = plan.windows
     avail = grid.first_state_starting_at_or_after(t_now) - 1
     departure_time = 0.0
     for i, c in enumerate(chain):
-        last = c.last_state(grid)
+        first, last = windows[c.contact_id]
         if last <= avail:
             raise RouteError(
                 f"contact {c.contact_id} has no transmission state at or after "
                 f"{'t_now' if i == 0 else f'contact {chain[i - 1].contact_id}'}"
             )
-        q = max(avail + 1, c.first_state(grid))
+        q = max(avail + 1, first)
         if i == 0:
             departure_time = grid.state_start(q)
         avail = q
 
+    volumes = plan.volumes
     return Route(
         contacts=tuple(ids),
         source=chain[0].from_node,
@@ -127,7 +130,7 @@ def route_attributes(plan: ContactPlan, contacts: list[int], t_now: float = 0.0)
         delivery_time=grid.state_end(avail),
         hops=len(chain),
         expiration=min(c.end for c in chain),
-        max_volume=min(c.total_volume(grid) for c in chain),
+        max_volume=min(volumes[cid] for cid in ids),
     )
 
 
@@ -169,8 +172,8 @@ def earliest_delivery_route(
     if source in sup_n:
         return None
 
-    grid = plan.grid
-    start_avail = grid.first_state_starting_at_or_after(t_now) - 1
+    windows = plan.windows
+    start_avail = plan.grid.first_state_starting_at_or_after(t_now) - 1
 
     # Heap entries: (arrival_state, hops, id sequence, node, visited nodes).
     # Sequences are unique per entry, so comparisons never reach the set.
@@ -194,9 +197,10 @@ def earliest_delivery_route(
         for c in plan.contacts_from(node):
             if c.contact_id in sup_c or c.to_node in sup_n or c.to_node in visited:
                 continue
-            if c.last_state(grid) <= avail:
+            first, last = windows[c.contact_id]
+            if last <= avail:
                 continue
-            q = max(avail + 1, c.first_state(grid))
+            q = max(avail + 1, first)
             heapq.heappush(
                 heap,
                 (q, hops + 1, seq + (c.contact_id,), c.to_node, visited | {c.to_node}),
@@ -292,6 +296,16 @@ def build_route_table(
         else:
             table.routes[dest] = k_best_routes(plan, owner, dest, t_now, k_routes)
     return table
+
+
+def build_route_tables(
+    plan: ContactPlan, k_routes: int, destinations: set[int]
+) -> dict[int, RouteTable]:
+    """Every node's route table as it computes it at t = 0, by node id."""
+    return {
+        spec.node_id: build_route_table(plan, spec.node_id, 0.0, k_routes, destinations)
+        for spec in plan.nodes
+    }
 
 
 def route_table_csv(table: RouteTable) -> str:

@@ -13,6 +13,12 @@ Text format (one record per line, ``#`` starts a comment):
     contact <id> <from> <to> <start_s> <end_s> <capacity_pkts_per_state>
 
 Canonical serialization sorts nodes by id and contacts by (start, id).
+
+Contacts keep their times in seconds, as written. Every layer that works
+in states reads the plan's integer view instead: `ContactPlan.windows`
+(each contact's first and last covered state), `ContactPlan.volumes` and
+`ContactPlan.state_contacts`. The plan derives them from the grid once,
+on first use, so no layer re-derives a state index from a time.
 """
 
 from __future__ import annotations
@@ -21,10 +27,13 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 __all__ = [
     "StateGrid",
     "Contact",
+    "Window",
     "NodeSpec",
     "ContactPlan",
     "TopologyConfig",
@@ -91,9 +100,6 @@ class StateGrid:
     def state_end(self, q: int) -> float:
         return q * self.state_duration
 
-    def timestamps(self) -> list[float]:
-        return [q * self.state_duration for q in range(self.state_count + 1)]
-
     def boundary_index(self, t: float) -> int | None:
         """Index q of the boundary timestamp t = q * duration, or None if t
         is off-grid or outside [0, horizon]."""
@@ -135,23 +141,21 @@ class Contact:
     end: float
     capacity: int
 
-    def first_state(self, grid: StateGrid) -> int:
-        """Index of the first state this contact covers."""
-        return grid.floor_boundary_index(self.start) + 1
 
-    def last_state(self, grid: StateGrid) -> int:
-        """Index of the last state this contact covers."""
-        return grid.floor_boundary_index(self.end)
+class Window(NamedTuple):
+    """The states a contact covers: first..last, 1-based and inclusive.
 
-    def covered_states(self, grid: StateGrid) -> range:
-        return range(self.first_state(grid), self.last_state(grid) + 1)
+    With boundary b(t) the last grid boundary at or before t (clamped to
+    the grid), a contact covers states b(start) + 1 through b(end). The
+    window is empty when last < first.
+    """
 
-    def covers_state(self, grid: StateGrid, q: int) -> bool:
-        return self.first_state(grid) <= q <= self.last_state(grid)
+    first: int
+    last: int
 
-    def total_volume(self, grid: StateGrid) -> int:
-        """Packets this contact can carry over its whole window."""
-        return self.capacity * len(self.covered_states(grid))
+    @property
+    def states(self) -> range:
+        return range(self.first, self.last + 1)
 
 
 @dataclass(frozen=True)
@@ -168,6 +172,12 @@ class ContactPlan:
 
     Normalization sorts nodes by id and contacts by (start, contact_id).
     Instances are treated as immutable values once constructed.
+
+    The plan's integer view of time lives here: `windows`, `volumes` and
+    `state_contacts` are computed from the grid once per plan, on first
+    use, and every layer reads them instead of converting contact times
+    to states itself. Plans that are never routed, simulated or solved
+    (such as a generated plan that is only serialized) never compute them.
     """
 
     grid: StateGrid
@@ -189,12 +199,6 @@ class ContactPlan:
     def node_ids(self) -> set[int]:
         return {n.node_id for n in self.nodes}
 
-    def node(self, node_id: int) -> NodeSpec:
-        for n in self.nodes:
-            if n.node_id == node_id:
-                return n
-        raise KeyError(f"unknown node {node_id}")
-
     def contact(self, contact_id: int) -> Contact:
         try:
             return self._by_id[contact_id]
@@ -204,8 +208,35 @@ class ContactPlan:
     def contacts_from(self, node_id: int) -> list[Contact]:
         return self._outgoing.get(node_id, [])
 
-    def contacts_in_state(self, q: int) -> list[Contact]:
-        return [c for c in self.contacts if c.covers_state(self.grid, q)]
+    @cached_property
+    def windows(self) -> dict[int, Window]:
+        """Each contact's covered states, by contact id."""
+        grid = self.grid
+        return {
+            c.contact_id: Window(
+                grid.floor_boundary_index(c.start) + 1, grid.floor_boundary_index(c.end)
+            )
+            for c in self.contacts
+        }
+
+    @cached_property
+    def volumes(self) -> dict[int, int]:
+        """Packets each contact can carry over its whole window, by contact id."""
+        windows = self.windows
+        return {
+            c.contact_id: c.capacity * len(windows[c.contact_id].states) for c in self.contacts
+        }
+
+    @cached_property
+    def state_contacts(self) -> list[list[Contact]]:
+        """The contacts active in each state q (index q; index 0 is empty),
+        in plan order."""
+        by_state: list[list[Contact]] = [[] for _ in range(self.grid.state_count + 1)]
+        windows = self.windows
+        for c in self.contacts:
+            for q in windows[c.contact_id].states:
+                by_state[q].append(c)
+        return by_state
 
 
 @dataclass(frozen=True)
@@ -287,9 +318,12 @@ def parse_contact_plan(text: str) -> ContactPlan:
 
         def to_float(tok: tuple[str, int], name: str) -> float:
             try:
-                return float(tok[0])
+                value = float(tok[0])
             except ValueError:
                 raise fail(f"{name} must be a number, got {tok[0]!r}", tok[1]) from None
+            if not math.isfinite(value):
+                raise fail(f"{name} must be a finite number, got {tok[0]!r}", tok[1])
+            return value
 
         if kind == "plan":
             if grid is not None:

@@ -25,7 +25,9 @@ from pathlib import Path
 
 from . import __version__
 from .contact_plan import ContactPlan, StateGrid, TopologyConfig, generate_random_topology
-from .contact_graph import build_route_table
+# build_route_table is not called here, but bench/tracing.py and its tests
+# look it up on this module by name.
+from .contact_graph import build_route_table, build_route_tables  # noqa: F401
 from .forwarding import Policy
 from .lp_oracle import build_lp, demands_to_commodities, lp_metrics, power_weights, solve_lp
 from .simulator import Demand, Metrics, compute_metrics, run_simulation
@@ -302,13 +304,9 @@ def _run_seed(cfg: ScenarioConfig, seed: int) -> list[CellResult]:
                     rows.append(_run_lp_cell(cfg, plan, demands, seed, load))
                 else:
                     if tables is None:
-                        destinations = {cfg.traffic.destination}
-                        tables = {
-                            spec.node_id: build_route_table(
-                                plan, spec.node_id, 0.0, cfg.routing.k_routes, destinations
-                            )
-                            for spec in plan.nodes
-                        }
+                        tables = build_route_tables(
+                            plan, cfg.routing.k_routes, {cfg.traffic.destination}
+                        )
                     result = run_simulation(
                         plan, demands, Policy[scheme], cfg.routing.k_routes, tables
                     )

@@ -68,8 +68,7 @@ class CapacityLedger:
 
     @classmethod
     def for_plan(cls, plan: ContactPlan) -> "CapacityLedger":
-        grid = plan.grid
-        return cls({c.contact_id: c.total_volume(grid) for c in plan.contacts})
+        return cls(plan.volumes)
 
     def residual(self, contact_id: int) -> int:
         return self._residuals[contact_id]

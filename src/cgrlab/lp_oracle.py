@@ -203,10 +203,12 @@ def demands_to_commodities(demands: list[Demand]) -> list[Commodity]:
 
 
 def _plan_arcs(plan: ContactPlan) -> list[_Arc]:
-    arcs = []
-    for c in plan.contacts:
-        for q in c.covered_states(plan.grid):
-            arcs.append(_Arc(c.contact_id, q, c.from_node, c.to_node, c.capacity))
+    windows = plan.windows
+    arcs = [
+        _Arc(c.contact_id, q, c.from_node, c.to_node, c.capacity)
+        for c in plan.contacts
+        for q in windows[c.contact_id].states
+    ]
     arcs.sort(key=lambda a: (a.state, a.contact_id))
     return arcs
 
@@ -240,6 +242,14 @@ def build_lp(
     arcs in states ending after its generation time and not leaving its
     destination. Raises ValueError for unknown nodes, generation times off
     the grid or at/after the horizon, and non-increasing weights.
+
+    Rows and columns come from integer arc x commodity arrays. Columns are
+    numbered X (arc-major, then commodity), then B (timestamp, node,
+    commodity), then one slack per commodity in soft mode. Equality rows
+    run per commodity: init and bal share one row per (timestamp, node),
+    then fin. Inequality rows are ddl per commodity, then arccap per arc
+    with at least one flow variable, then bufcap per finite-buffer node
+    and timestamp.
     """
     grid = plan.grid
     f = grid.state_count
@@ -257,103 +267,113 @@ def build_lp(
         gen_idx.append(_generation_index(plan, com))
 
     node_ids = sorted(known)
+    n_nodes, n_coms = len(node_ids), len(coms)
+    pos = {v: i for i, v in enumerate(node_ids)}
     arcs = _plan_arcs(plan)
-    in_arcs: dict[tuple[int, int], list[_Arc]] = {}
-    out_arcs: dict[tuple[int, int], list[_Arc]] = {}
-    for a in arcs:
-        in_arcs.setdefault((a.to_node, a.state), []).append(a)
-        out_arcs.setdefault((a.from_node, a.state), []).append(a)
 
-    x_index: dict[tuple[int, int, int], int] = {}
-    b_index: dict[tuple[int, int, int], int] = {}
-    slack_index: dict[int, int] = {}
-    var_names: list[str] = []
+    # Node positions are -1 for arc endpoints the plan does not declare:
+    # such an arc has no balance row at that end.
+    arc_state = np.array([a.state for a in arcs], dtype=np.int64)
+    arc_from = np.array([pos.get(a.from_node, -1) for a in arcs], dtype=np.int64)
+    arc_to = np.array([pos.get(a.to_node, -1) for a in arcs], dtype=np.int64)
+    gen = np.array(gen_idx, dtype=np.int64)
+    src = np.array([pos[com.src] for com in coms], dtype=np.int64)
+    dst = np.array([pos[com.dst] for com in coms], dtype=np.int64)
+    amount = np.array([com.amount for com in coms], dtype=np.float64)
 
-    for a in arcs:
-        for k, com in enumerate(coms):
-            if a.state <= gen_idx[k]:
-                continue  # the state ends at or before generation
-            if a.from_node == com.dst:
-                continue  # delivered traffic is never re-emitted
-            x_index[(a.contact_id, a.state, k)] = len(var_names)
-            var_names.append(f"X_c{a.contact_id}_s{a.state}_k{k}")
-    for t in range(f + 1):
-        for v in node_ids:
-            for k in range(len(coms)):
-                b_index[(t, v, k)] = len(var_names)
-                var_names.append(f"B_t{t}_n{v}_k{k}")
-    if soft:
-        for k in range(len(coms)):
-            slack_index[k] = len(var_names)
-            var_names.append(f"S_k{k}")
+    # A commodity sends on an arc in a state ending after its generation
+    # time, unless the arc leaves its destination.
+    sends = (arc_state[:, None] > gen[None, :]) & (arc_from[:, None] != dst[None, :])
+    x_arc, x_com = np.nonzero(sends)
+    x_state = arc_state[x_arc]
+    n_x = len(x_arc)
+    x_keys = list(
+        zip([arcs[i].contact_id for i in x_arc.tolist()], x_state.tolist(), x_com.tolist())
+    )
+
+    def b_col(t, v, k):
+        return n_x + (t * n_nodes + v) * n_coms + k
+
+    b_keys = [(t, v, k) for t in range(f + 1) for v in node_ids for k in range(n_coms)]
+    s_base = n_x + len(b_keys)
+    x_index = dict(zip(x_keys, range(n_x)))
+    b_index = dict(zip(b_keys, range(n_x, s_base)))
+    slack_index = {k: s_base + k for k in range(n_coms)} if soft else {}
+    var_names = [f"X_c{cid}_s{q}_k{k}" for cid, q, k in x_keys]
+    var_names += [f"B_t{t}_n{v}_k{k}" for t, v, k in b_keys]
+    var_names += [f"S_k{k}" for k in slack_index]
 
     big_m = grid.horizon * max(1, len(arcs))
     objective = np.zeros(len(var_names))
-    for (cid, q, k), col in x_index.items():
-        objective[col] = ws[q - 1]
-    for k, col in slack_index.items():
-        objective[col] = big_m
+    objective[:n_x] = np.asarray(ws)[x_state - 1]
+    objective[s_base:] = big_m
 
-    eq_rows: list[tuple[str, list[tuple[int, float]], float]] = []
-    ub_rows: list[tuple[str, list[tuple[int, float]], float]] = []
+    # Equality rows: commodity k owns rows k * per_com onward, with the
+    # init (t = 0) and bal (t >= 1) row of (t, node v) at t * n_nodes + v,
+    # then its fin rows. bk, bt, bv list every (commodity, timestamp, node).
+    n_fin = 1 if soft else n_nodes
+    per_com = (f + 1) * n_nodes + n_fin
+    ks = np.arange(n_coms)
+    eq: list[tuple[np.ndarray, np.ndarray, float]] = []
+    bk, bt, bv = (a.ravel() for a in np.indices((n_coms, f + 1, n_nodes)))
+    bal_row = bk * per_com + bt * n_nodes + bv
+    eq.append((bal_row, b_col(bt, bv, bk), 1.0))
+    later = bt >= 1
+    eq.append((bal_row[later], b_col(bt[later] - 1, bv[later], bk[later]), -1.0))
+    x_row = x_com * per_com + x_state * n_nodes
+    into, out_of = arc_to[x_arc], arc_from[x_arc]
+    eq.append(((x_row + into)[into >= 0], np.flatnonzero(into >= 0), -1.0))
+    eq.append(((x_row + out_of)[out_of >= 0], np.flatnonzero(out_of >= 0), 1.0))
+    fin_row = ks * per_com + (f + 1) * n_nodes
+    if soft:
+        eq.append((fin_row, b_col(f, dst, ks), 1.0))
+        eq.append((fin_row, s_base + ks, 1.0))
+    else:
+        fk, fv = (a.ravel() for a in np.indices((n_coms, n_nodes)))
+        eq.append((fin_row[fk] + fv, b_col(f, fv, fk), 1.0))
+    b_eq = np.zeros(n_coms * per_com)
+    b_eq[ks * per_com + gen * n_nodes + src] = amount
+    b_eq[fin_row + (0 if soft else dst)] = amount
+    eq_names = []
+    for k in range(n_coms):
+        eq_names += [f"init_n{v}_k{k}" for v in node_ids]
+        eq_names += [f"bal_t{t}_n{v}_k{k}" for t in range(1, f + 1) for v in node_ids]
+        eq_names += [f"fin_k{k}"] if soft else [f"fin_n{v}_k{k}" for v in node_ids]
 
-    for k, com in enumerate(coms):
-        for v in node_ids:
-            rhs = com.amount if (v == com.src and gen_idx[k] == 0) else 0.0
-            eq_rows.append((f"init_n{v}_k{k}", [(b_index[(0, v, k)], 1.0)], rhs))
+    # Inequality rows: for each commodity with a deadline, one ddl row per
+    # timestamp from its deadline index to f (f + 1 stands in for "no
+    # deadline", giving no rows); then arccap, then bufcap.
+    ub: list[tuple[np.ndarray, np.ndarray, float]] = []
+    deadlines = [_deadline_index(plan, com) for com in coms]
+    dl = np.array([f + 1 if d is None else d for d in deadlines], dtype=np.int64)
+    counts = f + 1 - dl
+    ddl_com = np.repeat(ks, counts)
+    ddl_row = np.arange(len(ddl_com))
+    ddl_t = ddl_row + np.repeat(dl - (np.cumsum(counts) - counts), counts)
+    ub.append((ddl_row, b_col(ddl_t, dst[ddl_com], ddl_com), -1.0))
+    if soft:
+        ub.append((ddl_row, s_base + ddl_com, -1.0))
+    ub_rhs = [-amount[ddl_com]]
+    ub_names = [f"ddl_t{t}_k{k}" for t, k in zip(ddl_t.tolist(), ddl_com.tolist())]
 
-        for t in range(1, f + 1):
-            for v in node_ids:
-                coefs = [(b_index[(t, v, k)], 1.0), (b_index[(t - 1, v, k)], -1.0)]
-                for a in in_arcs.get((v, t), []):
-                    col = x_index.get((a.contact_id, t, k))
-                    if col is not None:
-                        coefs.append((col, -1.0))
-                for a in out_arcs.get((v, t), []):
-                    col = x_index.get((a.contact_id, t, k))
-                    if col is not None:
-                        coefs.append((col, 1.0))
-                rhs = com.amount if (v == com.src and t == gen_idx[k]) else 0.0
-                eq_rows.append((f"bal_t{t}_n{v}_k{k}", coefs, rhs))
-
-        if soft:
-            coefs = [(b_index[(f, com.dst, k)], 1.0), (slack_index[k], 1.0)]
-            eq_rows.append((f"fin_k{k}", coefs, com.amount))
-        else:
-            for v in node_ids:
-                rhs = com.amount if v == com.dst else 0.0
-                eq_rows.append((f"fin_n{v}_k{k}", [(b_index[(f, v, k)], 1.0)], rhs))
-
-        dl = _deadline_index(plan, com)
-        if dl is not None:
-            for t in range(dl, f + 1):
-                coefs = [(b_index[(t, com.dst, k)], -1.0)]
-                if soft:
-                    coefs.append((slack_index[k], -1.0))
-                ub_rows.append((f"ddl_t{t}_k{k}", coefs, -com.amount))
-
-    for a in arcs:
-        coefs = [
-            (x_index[(a.contact_id, a.state, k)], 1.0)
-            for k in range(len(coms))
-            if (a.contact_id, a.state, k) in x_index
-        ]
-        if coefs:
-            ub_rows.append((f"arccap_c{a.contact_id}_s{a.state}", coefs, float(a.capacity)))
+    capped = sends.any(axis=1)
+    arccap_row = len(ub_names) + np.cumsum(capped) - 1
+    ub.append((arccap_row[x_arc], np.arange(n_x), 1.0))
+    ub_rhs.append(np.array([float(a.capacity) for a in arcs], dtype=np.float64)[capped])
+    ub_names += [
+        f"arccap_c{a.contact_id}_s{a.state}" for a, has in zip(arcs, capped.tolist()) if has
+    ]
 
     if coms:
+        ct, ck = (a.ravel() for a in np.indices((f + 1, n_coms)))
         for spec in plan.nodes:
             if math.isinf(spec.buffer_capacity):
                 continue
-            for t in range(f + 1):
-                coefs = [(b_index[(t, spec.node_id, k)], 1.0) for k in range(len(coms))]
-                ub_rows.append(
-                    (f"bufcap_t{t}_n{spec.node_id}", coefs, spec.buffer_capacity)
-                )
+            ub.append((len(ub_names) + ct, b_col(ct, pos[spec.node_id], ck), 1.0))
+            ub_rhs.append(np.full(f + 1, spec.buffer_capacity))
+            ub_names += [f"bufcap_t{t}_n{spec.node_id}" for t in range(f + 1)]
 
-    a_eq, b_eq, eq_names = _rows_to_matrix(eq_rows, len(var_names))
-    a_ub, b_ub, ub_names = _rows_to_matrix(ub_rows, len(var_names))
-
+    n_vars = len(var_names)
     return LpProblem(
         plan=plan,
         commodities=coms,
@@ -366,32 +386,24 @@ def build_lp(
         slack_index=slack_index,
         var_names=var_names,
         objective=objective,
-        a_eq=a_eq,
+        a_eq=_matrix(eq, len(eq_names), n_vars),
         b_eq=b_eq,
         eq_names=eq_names,
-        a_ub=a_ub,
-        b_ub=b_ub,
+        a_ub=_matrix(ub, len(ub_names), n_vars),
+        b_ub=np.concatenate(ub_rhs),
         ub_names=ub_names,
     )
 
 
-def _rows_to_matrix(
-    rows: list[tuple[str, list[tuple[int, float]], float]], n_vars: int
-) -> tuple[csr_matrix | None, np.ndarray, list[str]]:
-    if not rows:
-        return None, np.zeros(0), []
-    data, ridx, cidx = [], [], []
-    rhs = np.zeros(len(rows))
-    names = []
-    for i, (name, coefs, b) in enumerate(rows):
-        names.append(name)
-        rhs[i] = b
-        for col, coef in coefs:
-            ridx.append(i)
-            cidx.append(col)
-            data.append(coef)
-    matrix = csr_matrix((data, (ridx, cidx)), shape=(len(rows), n_vars))
-    return matrix, rhs, names
+def _matrix(
+    blocks: list[tuple[np.ndarray, np.ndarray, float]], n_rows: int, n_vars: int
+) -> csr_matrix | None:
+    """Sparse rows from (row indices, column indices, coefficient) blocks."""
+    if n_rows == 0:
+        return None
+    rows, cols, coefs = zip(*blocks)
+    data = np.concatenate([np.full(len(r), coef) for r, coef in zip(rows, coefs)])
+    return csr_matrix((data, (np.concatenate(rows), np.concatenate(cols))), shape=(n_rows, n_vars))
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -579,6 +591,7 @@ def lp_metrics(
         return Metrics(None, None, None, None)
 
     grid = plan.grid
+    windows = plan.windows
     delivered = sum(
         com.amount - solution.slacks.get(k, 0.0) for k, com in enumerate(commodities)
     )
@@ -590,7 +603,7 @@ def lp_metrics(
         for c in plan.contacts:
             if c.to_node != com.dst:
                 continue
-            for q in c.covered_states(grid):
+            for q in windows[c.contact_id].states:
                 t_q = grid.state_end(q)
                 if math.isinf(com.ttl):
                     on_time = True

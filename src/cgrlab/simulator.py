@@ -27,7 +27,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .contact_graph import RouteTable, build_route_table
+from .contact_graph import RouteTable, build_route_tables
 from .contact_plan import ContactPlan
 from .forwarding import CapacityLedger, Packet, Policy, forward_or_drop
 
@@ -195,10 +195,7 @@ def run_simulation(
     destinations = {d.dst for d in demands}
 
     if tables is None:
-        tables = {
-            spec.node_id: build_route_table(plan, spec.node_id, 0.0, k_routes, destinations)
-            for spec in plan.nodes
-        }
+        tables = build_route_tables(plan, k_routes, destinations)
 
     node_ids = sorted(plan.node_ids)
     ledgers = {nid: CapacityLedger.for_plan(plan) for nid in node_ids}
@@ -207,6 +204,7 @@ def run_simulation(
     for c in plan.contacts:
         queues[c.from_node][c.contact_id] = deque()
 
+    state_contacts = plan.state_contacts
     trackers: dict[int, _Tracker] = {}
     utilization: dict[tuple[int, int], int] = {}
     next_id = 1
@@ -247,9 +245,7 @@ def run_simulation(
                 else:
                     queues[nid][route.contacts[0]].append(pkt)
 
-        for c in plan.contacts:
-            if not c.covers_state(grid, q):
-                continue
+        for c in state_contacts[q]:
             queue = queues[c.from_node][c.contact_id]
             for _ in range(min(c.capacity, len(queue))):
                 pkt = queue.popleft()

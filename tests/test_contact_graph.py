@@ -204,8 +204,8 @@ def test_routes_never_revisit_nodes_and_schedule_increases():
             grid = plan.grid
             avail = 0
             for cid in r.contacts:
-                c = plan.contact(cid)
-                q = max(avail + 1, c.first_state(grid))
-                assert q <= c.last_state(grid)
+                first, last = plan.windows[cid]
+                q = max(avail + 1, first)
+                assert q <= last
                 avail = q
             assert grid.state_end(avail) == r.delivery_time

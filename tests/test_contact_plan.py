@@ -27,7 +27,7 @@ def test_parse_three_node_plan(fig1_plan):
     assert len(fig1_plan.contacts) == 3
     c1 = fig1_plan.contact(1)
     assert (c1.from_node, c1.to_node, c1.start, c1.end, c1.capacity) == (1, 2, 0.0, 10.0, 10)
-    assert c1.covered_states(fig1_plan.grid) == range(1, 2)
+    assert fig1_plan.windows[1].states == range(1, 2)
 
 
 def test_parse_header_only_gives_empty_plan():
@@ -72,6 +72,20 @@ def test_syntax_error_reports_line_and_column():
         parse_contact_plan("plan 2 10\nnode one inf\n")
     assert err.value.line == 2
     assert err.value.column == 6
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("plan 3 10\nnode 1 inf\nnode 2 inf\ncontact 1 1 2 nan 10 5\n", 4, 15),
+        ("plan 3 10\nnode 1 inf\nnode 2 inf\ncontact 1 1 2 0 inf 5\n", 4, 17),
+        ("plan 3 inf\n", 1, 8),
+    ],
+)
+def test_non_finite_numbers_are_syntax_errors(text, line, column):
+    with pytest.raises(PlanSyntaxError, match="finite") as err:
+        parse_contact_plan(text)
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_unknown_record_type_rejected():
@@ -172,7 +186,7 @@ def test_generated_plans_are_bidirectional_and_state_aligned():
 def plans(draw):
     node_count = draw(st.integers(2, 5))
     states = draw(st.integers(1, 5))
-    duration = draw(st.sampled_from([1.0, 2.5, 10.0]))
+    duration = draw(st.sampled_from([0.1, 1.0, 2.5, 10.0]))
     grid = StateGrid(states, duration)
     contacts = []
     n_contacts = draw(st.integers(0, 8))
@@ -195,6 +209,23 @@ def plans(draw):
 def test_round_trip_property(plan):
     assert validate(plan) == []
     assert parse_contact_plan(serialize_contact_plan(plan)) == plan
+
+
+@given(plans())
+@settings(max_examples=100, deadline=None)
+def test_windows_are_the_grid_boundaries_of_each_contact(plan):
+    grid = plan.grid
+    for c in plan.contacts:
+        first, last = plan.windows[c.contact_id]
+        assert first == grid.floor_boundary_index(c.start) + 1
+        assert last == grid.floor_boundary_index(c.end)
+        assert 1 <= first <= last <= grid.state_count
+        assert plan.volumes[c.contact_id] == c.capacity * (last - first + 1)
+    assert plan.state_contacts[0] == []
+    for q in range(1, grid.state_count + 1):
+        assert plan.state_contacts[q] == [
+            c for c in plan.contacts if q in plan.windows[c.contact_id].states
+        ]
 
 
 def test_grid_helpers():

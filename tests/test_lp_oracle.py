@@ -1,9 +1,19 @@
+import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
-from cgrlab.contact_plan import Contact, ContactPlan, NodeSpec, StateGrid
+from cgrlab.contact_plan import (
+    Contact,
+    ContactPlan,
+    NodeSpec,
+    StateGrid,
+    TopologyConfig,
+    generate_random_topology,
+    parse_contact_plan,
+)
 from cgrlab.lp_oracle import (
     Commodity,
     build_lp,
@@ -18,6 +28,8 @@ from cgrlab.lp_oracle import (
     verify_solution,
 )
 from cgrlab.simulator import Demand
+
+from conftest import THREE_NODE_PLAN
 
 TOL = 1e-6
 
@@ -273,3 +285,130 @@ def test_mean_hops_at_least_one_on_random_instances():
         assert verify_solution(problem, solution, TOL) == []
         metrics = lp_metrics(plan, commodities, solution)
         assert metrics.mean_hops is not None and metrics.mean_hops >= 1.0 - TOL
+
+
+def _study_inputs(seed: int, load: int, injection: str):
+    """The congestion study's plan and commodities for one seed and load."""
+    grid = StateGrid(10, 10.0)
+    plan = generate_random_topology(TopologyConfig(11, 0.2, 10, grid, seed=seed))
+    times = [0.0] if injection == "burst" else [grid.state_start(q) for q in range(1, 11)]
+    demands = [
+        Demand(src, 11, t, math.inf if src <= 5 else 20.0, load)
+        for t in times
+        for src in range(1, 11)
+    ]
+    return plan, demands_to_commodities(demands)
+
+
+def _model_digests(problem) -> dict[str, str]:
+    """Truncated SHA-256 of every array and name list the solver receives."""
+
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()[:16]
+
+    out = {
+        name: digest("\n".join(getattr(problem, name)).encode())
+        for name in ("var_names", "eq_names", "ub_names")
+    }
+    for name in ("objective", "b_eq", "b_ub"):
+        out[name] = digest(np.asarray(getattr(problem, name), dtype=np.float64).tobytes())
+    for name in ("a_eq", "a_ub"):
+        matrix = getattr(problem, name)
+        for part, dtype in (("indptr", np.int64), ("indices", np.int64), ("data", np.float64)):
+            out[f"{name}.{part}"] = (
+                None
+                if matrix is None
+                else digest(np.asarray(getattr(matrix, part), dtype=dtype).tobytes())
+            )
+    return out
+
+
+def _buffered_three_node_plan():
+    plan = parse_contact_plan(THREE_NODE_PLAN)
+    nodes = [NodeSpec(1), NodeSpec(2, 15.0), NodeSpec(3)]
+    return ContactPlan(plan.grid, nodes, list(plan.contacts))
+
+
+# Digests of the models as the tuple-list assembler built them before rows
+# came from index arrays. Any change to the order of variables, rows or
+# coefficients shows here, and HiGHS would then see a different input.
+_EMPTY = "e3b0c44298fc1c14"
+PINNED_MODELS = {
+    "study-seed1-load5-hard": (
+        lambda: _study_inputs(1, 5, "burst"),
+        False,
+        {
+            "var_names": "6dc8201b09b23162",
+            "eq_names": "e016ea58d067820c",
+            "ub_names": "5adbce9f292c936b",
+            "objective": "4bc0e191644d2f9c",
+            "b_eq": "b3fa879d8e896fc5",
+            "b_ub": "b18d40c673011aa5",
+            "a_eq.indptr": "d8593eb525974c60",
+            "a_eq.indices": "767b365faca79543",
+            "a_eq.data": "504d3a3a44095bb8",
+            "a_ub.indptr": "366fe00b30450ee5",
+            "a_ub.indices": "cf6be7d33c52281f",
+            "a_ub.data": "549c99622b0e484d",
+        },
+    ),
+    "perstate-seed2-load3-soft": (
+        lambda: _study_inputs(2, 3, "per-state"),
+        True,
+        {
+            "var_names": "c83c697cbb8364a0",
+            "eq_names": "f9f592bb6c90487f",
+            "ub_names": "588ac2bbf7e7cbde",
+            "objective": "895e2ee7a4a9a3ef",
+            "b_eq": "fdc760eea8235435",
+            "b_ub": "99740046f175f17b",
+            "a_eq.indptr": "cf4127c6e860ca8c",
+            "a_eq.indices": "90d1ac32089edc6f",
+            "a_eq.data": "859cb148da594772",
+            "a_ub.indptr": "b155094c45b8ca89",
+            "a_ub.indices": "82a22f5d437e9cb8",
+            "a_ub.data": "c674b748c775378a",
+        },
+    ),
+    "three-node-finite-buffer": (
+        lambda: (
+            _buffered_three_node_plan(),
+            demands_to_commodities([Demand(1, 3, 0.0, 30.0, 10), Demand(2, 3, 0.0, 20.0, 10)]),
+        ),
+        False,
+        {
+            "var_names": "92ca9385a1796751",
+            "eq_names": "62778c61d6d408a4",
+            "ub_names": "6be68f23ab464937",
+            "objective": "37174d35a97228c9",
+            "b_eq": "f2fca933d8c2f62d",
+            "b_ub": "3a99bc849a972b17",
+            "a_eq.indptr": "2bdd59f6fccfe304",
+            "a_eq.indices": "bde6721e5b36a2dd",
+            "a_eq.data": "8f2baf27dcbc9e11",
+            "a_ub.indptr": "94fb75552e893527",
+            "a_ub.indices": "9213e6c3b0f98a58",
+            "a_ub.data": "3e51651775f12c21",
+        },
+    ),
+    "three-node-no-commodities": (
+        lambda: (parse_contact_plan(THREE_NODE_PLAN), []),
+        False,
+        {
+            **{name: _EMPTY for name in ("var_names", "eq_names", "ub_names")},
+            **{name: _EMPTY for name in ("objective", "b_eq", "b_ub")},
+            **{
+                f"{m}.{part}": None
+                for m in ("a_eq", "a_ub")
+                for part in ("indptr", "indices", "data")
+            },
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MODELS))
+def test_model_layout_is_pinned(name):
+    inputs, soft, expected = PINNED_MODELS[name]
+    plan, commodities = inputs()
+    assert _model_digests(build_lp(plan, commodities, soft=soft)) == expected
