@@ -102,8 +102,11 @@ class StateGrid:
 
     def boundary_index(self, t: float) -> int | None:
         """Index q of the boundary timestamp t = q * duration, or None if t
-        is off-grid or outside [0, horizon]."""
+        is off-grid or outside [0, horizon]. A ratio t / duration that
+        overflows (a subnormal duration) is off-grid too."""
         ratio = t / self.state_duration
+        if not math.isfinite(ratio):
+            return None
         q = round(ratio)
         if abs(ratio - q) > _GRID_TOL * max(1.0, abs(ratio)):
             return None
@@ -341,7 +344,10 @@ def parse_contact_plan(text: str) -> ContactPlan:
             if args[1][0] == "inf":
                 buffer_capacity = math.inf
             else:
-                buffer_capacity = float(to_int(args[1], "buffer_capacity"))
+                try:
+                    buffer_capacity = float(to_int(args[1], "buffer_capacity"))
+                except OverflowError:
+                    raise fail("buffer_capacity is too large", args[1][1]) from None
             nodes.append(NodeSpec(node_id, buffer_capacity))
         elif kind == "contact":
             args = want(6, "contact <id> <from> <to> <start_s> <end_s> <capacity>")

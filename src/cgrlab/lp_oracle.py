@@ -1,20 +1,31 @@
 """Optimal multi-commodity flow over the state-expanded contact plan.
 
 This is the global-knowledge upper bound the distributed forwarding
-policies are compared against. Traffic is aggregated into commodities
-keyed by (source, destination, generation time, ttl); for each state the
-plan's contacts become capacitated arcs, and the model chooses fractional
+policies are compared against. Traffic is aggregated into one commodity
+per class, keyed by (destination, generation time, ttl); a commodity
+carries a supply at each of its sources. For each state the plan's
+contacts become capacitated arcs, and the model chooses fractional
 per-arc flows X and per-timestamp buffer occupancies B that minimize a
 weighted transmission cost, with the weight strictly increasing in the
 state index so that later transmissions cost more.
 
+Why one commodity per class loses nothing: every constraint sees a
+class's traffic only through its destination, generation time and
+deadline, and the cost sees only arc flows. Any per-source solution sums
+to a class solution with the same arc flows, buffers and cost. Conversely,
+a class flow with supplies at several sources decomposes into paths and
+cycles (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 3); assigning
+each path to the source it starts from gives per-source flows with the
+same arc use. So both models have the same feasible arc flows and the
+same optimum, with about 1/sources as many variables and balance rows.
+
 Constraint families (names used in row tags and verifier reports):
 
-* init     -- buffers at the first timestamp hold exactly the traffic
+* init     -- buffers at the first timestamp hold exactly the supply
               generated there, all other buffers start empty;
 * bal      -- buffer recursion: occupancy at a timestamp equals the
               previous occupancy plus inflow minus outflow during the
-              state, plus traffic generated at that timestamp;
+              state, plus the supply generated at that timestamp;
 * bufcap   -- total occupancy at a node never exceeds its storage;
 * arccap   -- total flow on an arc never exceeds the contact's per-state
               capacity;
@@ -82,22 +93,39 @@ class LpSolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class Commodity:
-    """Aggregated traffic: amount packets from src to dst, generated at
-    t_gen, to be delivered within ttl seconds (math.inf = no deadline)."""
+    """One traffic class: packets to dst, generated at t_gen, to be
+    delivered within ttl seconds (math.inf = no deadline).
 
-    src: int
+    `supply` holds (source node, amount) pairs, one per source, sorted by
+    node. Packets of one class are interchangeable, so the class is a
+    single commodity however many sources feed it; a per-source model is
+    the special case of one-source classes.
+    """
+
     dst: int
     t_gen: float
     ttl: float
-    amount: float
+    supply: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        if self.src == self.dst:
+        object.__setattr__(self, "supply", tuple(sorted(self.supply)))
+        sources = [v for v, _ in self.supply]
+        if not sources:
+            raise ValueError("commodity needs at least one source")
+        if len(set(sources)) != len(sources):
+            raise ValueError(f"commodity lists a source twice: {sources}")
+        if self.dst in sources:
             raise ValueError("commodity source and destination must differ")
-        if self.amount < 0:
-            raise ValueError(f"commodity amount must be >= 0, got {self.amount}")
+        for v, amount in self.supply:
+            if amount < 0:
+                raise ValueError(f"commodity amount must be >= 0, got {amount} at node {v}")
         if self.ttl < 0:
             raise ValueError(f"commodity ttl must be >= 0, got {self.ttl}")
+
+    @property
+    def amount(self) -> float:
+        """Total packets in the class, over all its sources."""
+        return sum(amount for _, amount in self.supply)
 
     @property
     def deadline(self) -> float:
@@ -190,15 +218,22 @@ def power_weights(exponent: float) -> WeightFn:
 
 
 def demands_to_commodities(demands: list[Demand]) -> list[Commodity]:
-    """Merge demands sharing (src, dst, t_gen, ttl) into commodities,
-    summing amounts; output is sorted by that key."""
+    """Group demands into one commodity per (dst, t_gen, ttl) class.
+
+    Demands sharing (src, dst, t_gen, ttl) merge into one supply entry,
+    summing amounts. Classes are ordered by their first member in
+    (src, dst, t_gen, ttl) order.
+    """
     merged: dict[tuple[int, int, float, float], float] = {}
     for d in demands:
         key = (d.src, d.dst, d.t_gen, d.ttl)
         merged[key] = merged.get(key, 0.0) + d.count
+    classes: dict[tuple[int, float, float], list[tuple[int, float]]] = {}
+    for (src, dst, t_gen, ttl), amount in sorted(merged.items()):
+        classes.setdefault((dst, t_gen, ttl), []).append((src, amount))
     return [
-        Commodity(src, dst, t_gen, ttl, amount)
-        for (src, dst, t_gen, ttl), amount in sorted(merged.items())
+        Commodity(dst, t_gen, ttl, tuple(supply))
+        for (dst, t_gen, ttl), supply in classes.items()
     ]
 
 
@@ -262,7 +297,7 @@ def build_lp(
     coms = tuple(commodities)
     gen_idx = []
     for com in coms:
-        if com.src not in known or com.dst not in known:
+        if com.dst not in known or any(v not in known for v, _ in com.supply):
             raise ValueError(f"commodity references unknown node: {com}")
         gen_idx.append(_generation_index(plan, com))
 
@@ -277,7 +312,6 @@ def build_lp(
     arc_from = np.array([pos.get(a.from_node, -1) for a in arcs], dtype=np.int64)
     arc_to = np.array([pos.get(a.to_node, -1) for a in arcs], dtype=np.int64)
     gen = np.array(gen_idx, dtype=np.int64)
-    src = np.array([pos[com.src] for com in coms], dtype=np.int64)
     dst = np.array([pos[com.dst] for com in coms], dtype=np.int64)
     amount = np.array([com.amount for com in coms], dtype=np.float64)
 
@@ -332,7 +366,10 @@ def build_lp(
         fk, fv = (a.ravel() for a in np.indices((n_coms, n_nodes)))
         eq.append((fin_row[fk] + fv, b_col(f, fv, fk), 1.0))
     b_eq = np.zeros(n_coms * per_com)
-    b_eq[ks * per_com + gen * n_nodes + src] = amount
+    sup_com = np.array([k for k, com in enumerate(coms) for _ in com.supply], dtype=np.int64)
+    sup_node = np.array([pos[v] for com in coms for v, _ in com.supply], dtype=np.int64)
+    sup_amount = np.array([a for com in coms for _, a in com.supply], dtype=np.float64)
+    b_eq[sup_com * per_com + gen[sup_com] * n_nodes + sup_node] = sup_amount
     b_eq[fin_row + (0 if soft else dst)] = amount
     eq_names = []
     for k in range(n_coms):
@@ -484,6 +521,7 @@ def verify_solution(
     for k, com in enumerate(coms):
         gen = _generation_index(plan, com)
         slack = solution.slacks.get(k, 0.0)
+        supply = dict(com.supply)
 
         for a in arcs:
             flow = X.get((a.contact_id, a.state, k), 0.0)
@@ -505,7 +543,7 @@ def verify_solution(
                 )
 
         for v in node_ids:
-            want = com.amount if (v == com.src and gen == 0) else 0.0
+            want = supply.get(v, 0.0) if gen == 0 else 0.0
             have = B.get((0, v, k), 0.0)
             if abs(have - want) > tol:
                 out.append(Violation("init", f"node {v} k{k}", abs(have - want)))
@@ -518,7 +556,7 @@ def verify_solution(
                 outflow = sum(
                     X.get((a.contact_id, t, k), 0.0) for a in arcs_from.get((v, t), [])
                 )
-                injected = com.amount if (v == com.src and t == gen) else 0.0
+                injected = supply.get(v, 0.0) if t == gen else 0.0
                 residual = (
                     B.get((t, v, k), 0.0)
                     - B.get((t - 1, v, k), 0.0)
@@ -667,7 +705,10 @@ def _lp_expr(coefs: list[tuple[int, float]], names: list[str]) -> str:
 
 
 def solution_flows_csv(problem: LpProblem, solution: LpSolution) -> str:
-    """Nonzero flows as CSV: one row per (state, contact, commodity)."""
+    """Nonzero flows as CSV: one row per (state, contact, commodity).
+
+    The src column lists the commodity's sources joined by ';'.
+    """
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["state", "contact", "from", "to", "commodity", "src", "dst", "t_gen", "ttl", "value"])
@@ -684,7 +725,7 @@ def solution_flows_csv(problem: LpProblem, solution: LpSolution) -> str:
                 contact.from_node,
                 contact.to_node,
                 k,
-                com.src,
+                ";".join(str(v) for v, _ in com.supply),
                 com.dst,
                 com.t_gen,
                 "inf" if math.isinf(com.ttl) else com.ttl,

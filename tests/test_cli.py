@@ -72,6 +72,14 @@ def test_validate_reports_non_finite_time_with_its_location(tmp_path, capsys):
     assert out.startswith("line 4, column 17: end must be a finite number")
 
 
+def test_validate_reports_underflowing_state_duration(tmp_path, capsys):
+    bad = tmp_path / "bad.cp"
+    bad.write_text("plan 3 1e-320\ncontact 1 1 2 0 10 5\n")
+    code, out, _ = run_cli(capsys, "validate", "--plan", bad)
+    assert code == 1
+    assert "off-grid-timestamp [contact 1]: end 10.0" in out
+
+
 def test_missing_plan_file_is_domain_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "validate", "--plan", tmp_path / "nope.cp")
     assert code == 1

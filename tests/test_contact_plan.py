@@ -8,6 +8,7 @@ from cgrlab.contact_plan import (
     Contact,
     ContactPlan,
     NodeSpec,
+    PlanError,
     PlanSemanticError,
     PlanSyntaxError,
     StateGrid,
@@ -86,6 +87,20 @@ def test_non_finite_numbers_are_syntax_errors(text, line, column):
     with pytest.raises(PlanSyntaxError, match="finite") as err:
         parse_contact_plan(text)
     assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_underflowing_state_duration_gives_an_off_grid_diagnostic():
+    # 10 / 1e-320 overflows to inf, so the contact end is on no boundary.
+    assert StateGrid(3, 1e-320).boundary_index(10.0) is None
+    with pytest.raises(PlanSemanticError) as err:
+        parse_contact_plan("plan 3 1e-320\ncontact 1 1 2 0 10 5\n")
+    assert "off-grid-timestamp" in {d.code for d in err.value.diagnostics}
+
+
+def test_overflowing_buffer_capacity_is_a_syntax_error():
+    with pytest.raises(PlanSyntaxError) as err:
+        parse_contact_plan("plan 3 10\nnode 1 1" + "0" * 400 + "\n")
+    assert (err.value.line, err.value.column) == (2, 8)
 
 
 def test_unknown_record_type_rejected():
@@ -226,6 +241,79 @@ def test_windows_are_the_grid_boundaries_of_each_contact(plan):
         assert plan.state_contacts[q] == [
             c for c in plan.contacts if q in plan.windows[c.contact_id].states
         ]
+
+
+# Numbers at the edges of float range, which must parse or be rejected
+# with a PlanError, never raise anything else.
+_EDGE_NUMBERS = ["1e-320", "1e308", "-0", "nan", "inf", "-inf", "1" + "0" * 400]
+_TOKENS = st.one_of(
+    st.sampled_from(_EDGE_NUMBERS),
+    st.integers(-1, 50).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["plan", "node", "contact", "link", "x", "1.2.3", "0x10", "#", "--"]),
+)
+
+
+_USUALLY = st.sampled_from([True] * 19 + [False])
+_RARELY = st.sampled_from([False] * 19 + [True])
+
+
+def _mostly(valid):
+    """A record field: a value of the right kind 19 times in 20, else any token."""
+    return _USUALLY.flatmap(lambda ok: valid if ok else _TOKENS)
+
+
+# state_count stays at most 10**6; parsing allocates nothing per state.
+_STATE_COUNT = st.one_of(st.integers(1, 5), st.integers(1, 5), st.integers(-1, 10**6)).map(str)
+_BUFFER = _mostly(st.sampled_from(["inf", "0", "5", "-0"]))
+
+
+def _line(draw, kind, fields):
+    args = [draw(f) for f in fields]
+    if draw(_RARELY):
+        args = args[:-1] if draw(st.booleans()) else args + [draw(_TOKENS)]
+    return " ".join([kind] + args)
+
+
+@st.composite
+def plan_texts(draw):
+    """Plan text that is mostly well formed, with stray tokens, wrong
+    arities, duplicate or missing headers and unknown records mixed in.
+    Contact times favour 0, -0 and one state duration, so that plans with
+    edge durations (1e-320, 1e308) are often accepted."""
+    duration = draw(st.sampled_from(["10", "1e-320", "1e308", "2.5", "0.1"]))
+    lines = []
+    if not draw(_RARELY):
+        lines.append(_line(draw, "plan", [_STATE_COUNT, _mostly(st.just(duration))]))
+    for node_id in draw(st.permutations(["1", "2", "3"]))[: draw(st.sampled_from([3, 3, 2, 1, 0]))]:
+        lines.append(_line(draw, "node", [_mostly(st.just(node_id)), _BUFFER]))
+    for cid in range(1, draw(st.sampled_from([1, 1, 2, 2, 3, 0])) + 1):
+        ends = draw(st.permutations(["1", "2", "3"]))
+        contact = [
+            _mostly(st.just(str(cid))),
+            _mostly(st.just(ends[0])),
+            _mostly(st.just(ends[1])),
+            _mostly(st.sampled_from(["0", "-0", "10", duration])),
+            _mostly(st.sampled_from(["10", "20", duration, "1e-320", "1e308"])),
+            _mostly(st.integers(0, 20).map(str)),
+        ]
+        lines.append(_line(draw, "contact", contact))
+    if draw(_RARELY):
+        kind = draw(st.sampled_from(["plan", "link"]))
+        lines.insert(draw(st.integers(0, len(lines))), _line(draw, kind, [_TOKENS, _TOKENS]))
+    return "\n".join(lines) + "\n"
+
+
+@given(plan_texts())
+@settings(max_examples=400, deadline=None)
+def test_parser_accepts_round_trips_or_raises_plan_error(text):
+    # Nothing here may read plan.windows or plan.state_contacts: a plan
+    # may have up to 10**6 states.
+    try:
+        plan = parse_contact_plan(text)
+    except PlanError:
+        return
+    assert parse_contact_plan(serialize_contact_plan(plan)) == plan
 
 
 def test_grid_helpers():

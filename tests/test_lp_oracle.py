@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgrlab.contact_plan import (
     Contact,
@@ -29,7 +31,7 @@ from cgrlab.lp_oracle import (
 )
 from cgrlab.simulator import Demand
 
-from conftest import THREE_NODE_PLAN
+from conftest import THREE_NODE_PLAN, random_small_plan
 
 TOL = 1e-6
 
@@ -53,9 +55,31 @@ def test_demands_merge_into_commodities():
     ]
     commodities = demands_to_commodities(demands)
     assert commodities == [
-        Commodity(1, 3, 0.0, 30.0, 10.0),
-        Commodity(2, 3, 0.0, 20.0, 10.0),
+        Commodity(3, 0.0, 30.0, ((1, 10.0),)),
+        Commodity(3, 0.0, 20.0, ((2, 10.0),)),
     ]
+
+
+def test_demands_of_one_class_share_a_commodity(fig1_plan):
+    demands = [
+        Demand(2, 3, 0.0, 20.0, 10),
+        Demand(2, 3, 0.0, 30.0, 5),
+        Demand(1, 3, 0.0, 30.0, 4),
+        Demand(1, 3, 0.0, 30.0, 6),
+    ]
+    commodities = demands_to_commodities(demands)
+    # classes in the order of their first (src, dst, t_gen, ttl) member
+    assert commodities == [
+        Commodity(3, 0.0, 30.0, ((1, 10.0), (2, 5.0))),
+        Commodity(3, 0.0, 20.0, ((2, 10.0),)),
+    ]
+    assert commodities[0].amount == 15.0
+    problem = build_lp(fig1_plan, commodities[:1])
+    solution = solve_lp(problem)
+    assert verify_solution(problem, solution, TOL) == []
+    assert solution.buffers[(3, 3, 0)] == pytest.approx(15.0)
+    lines = solution_flows_csv(problem, solution).strip().split("\n")
+    assert all(line.split(",")[5] == "1;2" for line in lines[1:])
 
 
 def test_empty_demands_give_no_commodities():
@@ -64,7 +88,21 @@ def test_empty_demands_give_no_commodities():
 
 def test_commodity_rejects_self_traffic():
     with pytest.raises(ValueError):
-        Commodity(1, 1, 0.0, 10.0, 5.0)
+        Commodity(1, 0.0, 10.0, ((1, 5.0),))
+
+
+@pytest.mark.parametrize(
+    "supply",
+    [
+        (),  # no source
+        ((1, -1.0),),  # negative amount
+        ((1, 5.0), (3, 5.0)),  # a source equal to the destination
+        ((1, 5.0), (1, 2.0)),  # a source listed twice
+    ],
+)
+def test_commodity_rejects_malformed_supply(supply):
+    with pytest.raises(ValueError):
+        Commodity(3, 0.0, 10.0, supply)
 
 
 def test_three_node_problem_shape(fig1_plan, fig1_commodities):
@@ -107,7 +145,7 @@ def test_tight_deadlines_infeasible(fig1_plan):
 
 
 def test_zero_amount_commodities(fig1_plan):
-    commodities = [Commodity(1, 3, 0.0, math.inf, 0.0)]
+    commodities = [Commodity(3, 0.0, math.inf, ((1, 0.0),))]
     solution = solve_lp(build_lp(fig1_plan, commodities))
     assert solution.status == "optimal"
     assert solution.objective == pytest.approx(0.0)
@@ -127,7 +165,7 @@ def test_zero_buffer_relay_is_infeasible():
         [NodeSpec(1), NodeSpec(2, 0.0), NodeSpec(3)],
         [Contact(1, 1, 2, 0.0, 10.0, 10), Contact(2, 2, 3, 10.0, 20.0, 10)],
     )
-    commodities = [Commodity(1, 3, 0.0, math.inf, 5.0)]
+    commodities = [Commodity(3, 0.0, math.inf, ((1, 5.0),))]
     assert solve_lp(build_lp(plan, commodities)).status == "infeasible"
     relaxed = ContactPlan(
         grid, [NodeSpec(1), NodeSpec(2, 5.0), NodeSpec(3)], list(plan.contacts)
@@ -137,9 +175,9 @@ def test_zero_buffer_relay_is_infeasible():
 
 def test_generation_time_must_be_on_grid(fig1_plan):
     with pytest.raises(ValueError):
-        build_lp(fig1_plan, [Commodity(1, 3, 5.0, 10.0, 1.0)])
+        build_lp(fig1_plan, [Commodity(3, 5.0, 10.0, ((1, 1.0),))])
     with pytest.raises(ValueError):
-        build_lp(fig1_plan, [Commodity(1, 3, 30.0, 10.0, 1.0)])
+        build_lp(fig1_plan, [Commodity(3, 30.0, 10.0, ((1, 1.0),))])
 
 
 def test_weights_must_increase(fig1_plan, fig1_commodities):
@@ -150,7 +188,7 @@ def test_weights_must_increase(fig1_plan, fig1_commodities):
 
 
 def test_no_flow_before_generation(fig1_plan):
-    commodities = [Commodity(1, 3, 10.0, math.inf, 5.0)]
+    commodities = [Commodity(3, 10.0, math.inf, ((1, 5.0),))]
     problem = build_lp(fig1_plan, commodities)
     assert all(state >= 2 for (_, state, _) in problem.x_index)
     solution = solve_lp(problem)
@@ -277,7 +315,7 @@ def test_mean_hops_at_least_one_on_random_instances():
             contacts.append(Contact(cid, a, b, grid.state_start(q), grid.state_end(q), rng.randint(1, 8)))
         plan = ContactPlan(grid, [NodeSpec(i) for i in range(1, node_count + 1)], contacts)
         src, dst = rng.sample(sorted(plan.node_ids), 2)
-        commodities = [Commodity(src, dst, 0.0, math.inf, float(rng.randint(1, 5)))]
+        commodities = [Commodity(dst, 0.0, math.inf, ((src, float(rng.randint(1, 5))),))]
         problem = build_lp(plan, commodities)
         solution = solve_lp(problem)
         if solution.status != "optimal":
@@ -285,6 +323,45 @@ def test_mean_hops_at_least_one_on_random_instances():
         assert verify_solution(problem, solution, TOL) == []
         metrics = lp_metrics(plan, commodities, solution)
         assert metrics.mean_hops is not None and metrics.mean_hops >= 1.0 - TOL
+
+
+def _one_source_classes(commodities):
+    """The per-source model: one class per (src, dst, t_gen, ttl)."""
+    return [Commodity(c.dst, c.t_gen, c.ttl, (entry,)) for c in commodities for entry in c.supply]
+
+
+@given(seed=st.integers(0, 2**32 - 1), soft=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_class_commodities_match_the_per_source_model(seed, soft):
+    # Random small plans with finite buffers and one to three
+    # (t_gen, ttl) classes, each fed by several sources.
+    rng = random.Random(seed)
+    base = random_small_plan(rng, max_contacts=20)
+    nodes = [NodeSpec(n.node_id, rng.choice([math.inf, math.inf, 0.0, 6.0])) for n in base.nodes]
+    plan = ContactPlan(base.grid, nodes, list(base.contacts))
+    dst = rng.choice(sorted(plan.node_ids))
+    others = sorted(plan.node_ids - {dst})
+    demands = [
+        Demand(src, dst, t_gen, ttl, rng.randint(1, 3))
+        for t_gen, ttl in sorted({
+            (plan.grid.state_start(rng.randint(1, plan.grid.state_count)),
+             rng.choice([math.inf, math.inf, 10.0, 20.0, 30.0]))
+            for _ in range(rng.randint(1, 3))
+        })
+        for src in rng.sample(others, rng.randint(1, len(others)))
+    ]
+    classes = demands_to_commodities(demands)
+    results = []
+    for commodities in (classes, _one_source_classes(classes)):
+        problem = build_lp(plan, commodities, soft=soft)
+        solution = solve_lp(problem)
+        if solution.status == "optimal":
+            assert verify_solution(problem, solution, TOL) == []
+        results.append(solution)
+    aggregated, per_source = results
+    assert aggregated.status == per_source.status
+    if aggregated.status == "optimal":
+        assert aggregated.objective == pytest.approx(per_source.objective, rel=1e-6, abs=1e-9)
 
 
 def _study_inputs(seed: int, load: int, injection: str):
@@ -332,42 +409,46 @@ def _buffered_three_node_plan():
 # Digests of the models as the tuple-list assembler built them before rows
 # came from index arrays. Any change to the order of variables, rows or
 # coefficients shows here, and HiGHS would then see a different input.
+# The two study models were re-captured when commodities became one per
+# (dst, t_gen, ttl) class: 2 classes instead of 10 per-source commodities
+# in the burst study, 20 instead of 100 per state. The three-node models
+# have one source per class, so their digests did not move.
 _EMPTY = "e3b0c44298fc1c14"
 PINNED_MODELS = {
     "study-seed1-load5-hard": (
         lambda: _study_inputs(1, 5, "burst"),
         False,
         {
-            "var_names": "6dc8201b09b23162",
-            "eq_names": "e016ea58d067820c",
-            "ub_names": "5adbce9f292c936b",
-            "objective": "4bc0e191644d2f9c",
-            "b_eq": "b3fa879d8e896fc5",
-            "b_ub": "b18d40c673011aa5",
-            "a_eq.indptr": "d8593eb525974c60",
-            "a_eq.indices": "767b365faca79543",
-            "a_eq.data": "504d3a3a44095bb8",
-            "a_ub.indptr": "366fe00b30450ee5",
-            "a_ub.indices": "cf6be7d33c52281f",
-            "a_ub.data": "549c99622b0e484d",
+            "var_names": "cd84f28e670de140",
+            "eq_names": "5d4853f8ca5bcf35",
+            "ub_names": "6ef7f8407fe029ff",
+            "objective": "8a26f4e47bd203ac",
+            "b_eq": "887c3961f2f6f8ef",
+            "b_ub": "a77fe753e5314f7b",
+            "a_eq.indptr": "c4c8d20f7b9e8c86",
+            "a_eq.indices": "44622ad3d63e3954",
+            "a_eq.data": "778aebbf4adc64a6",
+            "a_ub.indptr": "88e3cdbca6af580e",
+            "a_ub.indices": "b68a26a8dc353b10",
+            "a_ub.data": "0f209028d3ec1649",
         },
     ),
     "perstate-seed2-load3-soft": (
         lambda: _study_inputs(2, 3, "per-state"),
         True,
         {
-            "var_names": "c83c697cbb8364a0",
-            "eq_names": "f9f592bb6c90487f",
-            "ub_names": "588ac2bbf7e7cbde",
-            "objective": "895e2ee7a4a9a3ef",
-            "b_eq": "fdc760eea8235435",
-            "b_ub": "99740046f175f17b",
-            "a_eq.indptr": "cf4127c6e860ca8c",
-            "a_eq.indices": "90d1ac32089edc6f",
-            "a_eq.data": "859cb148da594772",
-            "a_ub.indptr": "b155094c45b8ca89",
-            "a_ub.indices": "82a22f5d437e9cb8",
-            "a_ub.data": "c674b748c775378a",
+            "var_names": "6e5b3c4798a73b83",
+            "eq_names": "443c07db30f596c7",
+            "ub_names": "dc181f1facd554ba",
+            "objective": "6e827109282ac7a5",
+            "b_eq": "fb1e8e4b4baa1c2a",
+            "b_ub": "840105d50052afe8",
+            "a_eq.indptr": "f79b49a1edd3d40a",
+            "a_eq.indices": "fdb0844f94a51623",
+            "a_eq.data": "1ec5b2d93e3b91c5",
+            "a_ub.indptr": "74d0529dc33984d4",
+            "a_ub.indices": "8a63fa263840d595",
+            "a_ub.data": "ab67ee36feea3449",
         },
     ),
     "three-node-finite-buffer": (
