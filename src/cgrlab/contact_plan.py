@@ -115,17 +115,26 @@ class StateGrid:
         return None
 
     def floor_boundary_index(self, t: float) -> int:
-        """Largest boundary index whose timestamp is <= t (clamped to the grid)."""
+        """Largest boundary index whose timestamp is <= t (clamped to the grid).
+
+        A ratio t / duration that overflows (a subnormal duration) clamps
+        to the grid's end it points at.
+        """
         ratio = t / self.state_duration
+        if not math.isfinite(ratio):
+            return self.state_count if ratio > 0 else 0
         q = math.floor(ratio + _GRID_TOL * max(1.0, abs(ratio)))
         return max(0, min(self.state_count, q))
 
     def first_state_starting_at_or_after(self, t: float) -> int:
         """Smallest state index q with state_start(q) >= t.
 
-        May exceed state_count when t is at or past the last state start.
+        May exceed state_count when t is at or past the last state start;
+        an overflowing ratio t / duration gives 1 or state_count + 1.
         """
         ratio = t / self.state_duration
+        if not math.isfinite(ratio):
+            return self.state_count + 1 if ratio > 0 else 1
         return math.ceil(ratio - _GRID_TOL * max(1.0, abs(ratio))) + 1
 
 

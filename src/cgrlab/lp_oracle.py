@@ -36,10 +36,32 @@ Constraint families (names used in row tags and verifier reports):
               amount at every timestamp from the deadline onward;
 * fin      -- at the horizon all traffic resides at its destination.
 
+Each class k lives in a window: from its generation timestamp g_k to the
+last state L_k in which its flow can matter. The model has flow variables
+only for states g_k < q <= L_k and buffer variables only for timestamps
+g_k..f; its init row sits at g_k and its bal rows cover g_k+1..f. Nothing
+outside the window can carry flow at an optimum:
+
+* before g_k no arc may send (no-early-send), so every buffer is zero
+  until the supply appears at g_k;
+* L_k is the deadline's boundary index for a deadline class, and the
+  horizon f otherwise. Flow in a later state arrives too late to count,
+  so an optimum never pays for it: in a hard model the class is wholly at
+  its destination from the deadline on, and in a soft model without
+  finite buffers stranded traffic can stay where it is.
+
+Two cases keep the full horizon for deadline classes too. In a soft model
+with a finite buffer, stranded traffic of an expired class may have to
+move on to free storage another class needs. And the hard-model argument
+counts on flow conserving mass, which fails when a contact joins a node
+the plan does not declare (such an arc end has no balance row); the
+parser rejects such plans, but a plan built directly can hold them.
+
 Solving is delegated to scipy's HiGHS backend behind `solve_lp`;
-`verify_solution` independently re-derives every constraint from the raw
-plan and commodity data, so a certified solution never depends on the
-solver being right.
+`verify_solution` independently re-derives every constraint of the
+full, unwindowed model from the raw plan and commodity data, reading
+missing variables as zero, so a certified solution never depends on the
+solver, or on the windows, being right.
 
 The optional soft mode adds one nonnegative drop slack per commodity with
 a large penalty (horizon times arc count), turning infeasible instances
@@ -54,6 +76,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -149,7 +172,8 @@ class LpProblem:
 
     Variable layout: flows X keyed by (contact_id, state, commodity index),
     buffers B keyed by (timestamp index, node, commodity index), then one
-    slack per commodity in soft mode.
+    slack per commodity in soft mode. The variable and row names are
+    worked out on first use; only the LP text export reads them.
     """
 
     plan: ContactPlan
@@ -161,18 +185,49 @@ class LpProblem:
     x_index: dict[tuple[int, int, int], int]
     b_index: dict[tuple[int, int, int], int]
     slack_index: dict[int, int]
-    var_names: list[str]
     objective: np.ndarray
     a_eq: csr_matrix | None
     b_eq: np.ndarray
-    eq_names: list[str]
     a_ub: csr_matrix | None
     b_ub: np.ndarray
-    ub_names: list[str]
 
     @property
     def n_vars(self) -> int:
-        return len(self.var_names)
+        return len(self.objective)
+
+    @cached_property
+    def var_names(self) -> list[str]:
+        names = [f"X_c{cid}_s{q}_k{k}" for cid, q, k in self.x_index]
+        names += [f"B_t{t}_n{v}_k{k}" for t, v, k in self.b_index]
+        return names + [f"S_k{k}" for k in self.slack_index]
+
+    @cached_property
+    def eq_names(self) -> list[str]:
+        f = self.plan.grid.state_count
+        node_ids = sorted(self.plan.node_ids)
+        names = []
+        for k, com in enumerate(self.commodities):
+            gen = _generation_index(self.plan, com)
+            names += [f"init_n{v}_k{k}" for v in node_ids]
+            names += [f"bal_t{t}_n{v}_k{k}" for t in range(gen + 1, f + 1) for v in node_ids]
+            names += [f"fin_k{k}"] if self.soft else [f"fin_n{v}_k{k}" for v in node_ids]
+        return names
+
+    @cached_property
+    def ub_names(self) -> list[str]:
+        f = self.plan.grid.state_count
+        names = []
+        for k, com in enumerate(self.commodities):
+            dl = _deadline_index(self.plan, com)
+            if dl is not None:
+                names += [f"ddl_t{t}_k{k}" for t in range(dl, f + 1)]
+        capped = dict.fromkeys((cid, q) for cid, q, _ in self.x_index)
+        names += [f"arccap_c{cid}_s{q}" for cid, q in capped]
+        if self.commodities:
+            for spec in self.plan.nodes:
+                if not math.isinf(spec.buffer_capacity):
+                    names += [f"bufcap_t{t}_n{spec.node_id}" for t in range(f + 1)]
+        return names
 
 
 @dataclass
@@ -274,17 +329,19 @@ def build_lp(
     """Assemble the flow model for a plan and commodity set.
 
     Flow variables are created only where a commodity may actually send:
-    arcs in states ending after its generation time and not leaving its
-    destination. Raises ValueError for unknown nodes, generation times off
-    the grid or at/after the horizon, and non-increasing weights.
+    arcs in states of its window (see the module docstring) and not
+    leaving its destination. Raises ValueError for unknown nodes,
+    generation times off the grid or at/after the horizon, and
+    non-increasing weights.
 
     Rows and columns come from integer arc x commodity arrays. Columns are
     numbered X (arc-major, then commodity), then B (timestamp, node,
-    commodity), then one slack per commodity in soft mode. Equality rows
-    run per commodity: init and bal share one row per (timestamp, node),
-    then fin. Inequality rows are ddl per commodity, then arccap per arc
-    with at least one flow variable, then bufcap per finite-buffer node
-    and timestamp.
+    commodity, from each commodity's generation timestamp on), then one
+    slack per commodity in soft mode. Equality rows run per commodity:
+    init at its generation timestamp and bal after it, one row per
+    (timestamp, node), then fin. Inequality rows are ddl per commodity,
+    then arccap per arc with at least one flow variable, then bufcap per
+    finite-buffer node and timestamp.
     """
     grid = plan.grid
     f = grid.state_count
@@ -315,9 +372,24 @@ def build_lp(
     dst = np.array([pos[com.dst] for com in coms], dtype=np.int64)
     amount = np.array([com.amount for com in coms], dtype=np.float64)
 
-    # A commodity sends on an arc in a state ending after its generation
-    # time, unless the arc leaves its destination.
-    sends = (arc_state[:, None] > gen[None, :]) & (arc_from[:, None] != dst[None, :])
+    # Deadline index per commodity, f + 1 standing in for "no deadline";
+    # the window of commodity k ends at its deadline only where the module
+    # docstring shows that loses nothing.
+    deadlines = [_deadline_index(plan, com) for com in coms]
+    dl = np.array([f + 1 if d is None else d for d in deadlines], dtype=np.int64)
+    if soft:
+        cut = all(math.isinf(spec.buffer_capacity) for spec in plan.nodes)
+    else:
+        cut = bool((arc_from >= 0).all() and (arc_to >= 0).all())
+    last = np.minimum(dl, f) if cut else np.full(n_coms, f, dtype=np.int64)
+
+    # A commodity sends on an arc in a state of its window, unless the arc
+    # leaves its destination.
+    sends = (
+        (arc_state[:, None] > gen[None, :])
+        & (arc_state[:, None] <= last[None, :])
+        & (arc_from[:, None] != dst[None, :])
+    )
     x_arc, x_com = np.nonzero(sends)
     x_state = arc_state[x_arc]
     n_x = len(x_arc)
@@ -325,92 +397,85 @@ def build_lp(
         zip([arcs[i].contact_id for i in x_arc.tolist()], x_state.tolist(), x_com.tolist())
     )
 
-    def b_col(t, v, k):
-        return n_x + (t * n_nodes + v) * n_coms + k
-
-    b_keys = [(t, v, k) for t in range(f + 1) for v in node_ids for k in range(n_coms)]
-    s_base = n_x + len(b_keys)
+    # Buffer columns for every (timestamp, node, commodity) with the
+    # timestamp at or after the commodity's generation; -1 elsewhere.
+    live = np.arange(f + 1)[:, None] >= gen[None, :]
+    b_live = np.broadcast_to(live[:, None, :], (f + 1, n_nodes, n_coms))
+    bt, bv, bk = np.nonzero(b_live)
+    s_base = n_x + len(bt)
+    b_cols = np.full(b_live.shape, -1, dtype=np.int64)
+    b_cols[bt, bv, bk] = np.arange(n_x, s_base)
+    b_keys = list(zip(bt.tolist(), np.array(node_ids)[bv].tolist(), bk.tolist()))
     x_index = dict(zip(x_keys, range(n_x)))
     b_index = dict(zip(b_keys, range(n_x, s_base)))
     slack_index = {k: s_base + k for k in range(n_coms)} if soft else {}
-    var_names = [f"X_c{cid}_s{q}_k{k}" for cid, q, k in x_keys]
-    var_names += [f"B_t{t}_n{v}_k{k}" for t, v, k in b_keys]
-    var_names += [f"S_k{k}" for k in slack_index]
+    n_vars = s_base + len(slack_index)
 
     big_m = grid.horizon * max(1, len(arcs))
-    objective = np.zeros(len(var_names))
+    objective = np.zeros(n_vars)
     objective[:n_x] = np.asarray(ws)[x_state - 1]
     objective[s_base:] = big_m
 
-    # Equality rows: commodity k owns rows k * per_com onward, with the
-    # init (t = 0) and bal (t >= 1) row of (t, node v) at t * n_nodes + v,
-    # then its fin rows. bk, bt, bv list every (commodity, timestamp, node).
+    # Equality rows: commodity k owns rows from first[k] on, with the init
+    # (t = gen) and bal (t > gen) row of (t, node v) at
+    # first[k] + (t - gen) * n_nodes + v, then its fin rows.
     n_fin = 1 if soft else n_nodes
-    per_com = (f + 1) * n_nodes + n_fin
+    per_com = (f + 1 - gen) * n_nodes + n_fin
+    first = np.cumsum(per_com) - per_com
     ks = np.arange(n_coms)
     eq: list[tuple[np.ndarray, np.ndarray, float]] = []
-    bk, bt, bv = (a.ravel() for a in np.indices((n_coms, f + 1, n_nodes)))
-    bal_row = bk * per_com + bt * n_nodes + bv
-    eq.append((bal_row, b_col(bt, bv, bk), 1.0))
-    later = bt >= 1
-    eq.append((bal_row[later], b_col(bt[later] - 1, bv[later], bk[later]), -1.0))
-    x_row = x_com * per_com + x_state * n_nodes
+    bal_row = first[bk] + (bt - gen[bk]) * n_nodes + bv
+    eq.append((bal_row, b_cols[bt, bv, bk], 1.0))
+    later = bt > gen[bk]
+    eq.append((bal_row[later], b_cols[bt[later] - 1, bv[later], bk[later]], -1.0))
+    x_row = first[x_com] + (x_state - gen[x_com]) * n_nodes
     into, out_of = arc_to[x_arc], arc_from[x_arc]
     eq.append(((x_row + into)[into >= 0], np.flatnonzero(into >= 0), -1.0))
     eq.append(((x_row + out_of)[out_of >= 0], np.flatnonzero(out_of >= 0), 1.0))
-    fin_row = ks * per_com + (f + 1) * n_nodes
+    fin_row = first + (f + 1 - gen) * n_nodes
     if soft:
-        eq.append((fin_row, b_col(f, dst, ks), 1.0))
+        eq.append((fin_row, b_cols[f, dst, ks], 1.0))
         eq.append((fin_row, s_base + ks, 1.0))
     else:
         fk, fv = (a.ravel() for a in np.indices((n_coms, n_nodes)))
-        eq.append((fin_row[fk] + fv, b_col(f, fv, fk), 1.0))
-    b_eq = np.zeros(n_coms * per_com)
+        eq.append((fin_row[fk] + fv, b_cols[f, fv, fk], 1.0))
+    n_eq = int(per_com.sum())
+    b_eq = np.zeros(n_eq)
     sup_com = np.array([k for k, com in enumerate(coms) for _ in com.supply], dtype=np.int64)
     sup_node = np.array([pos[v] for com in coms for v, _ in com.supply], dtype=np.int64)
     sup_amount = np.array([a for com in coms for _, a in com.supply], dtype=np.float64)
-    b_eq[sup_com * per_com + gen[sup_com] * n_nodes + sup_node] = sup_amount
+    b_eq[first[sup_com] + sup_node] = sup_amount
     b_eq[fin_row + (0 if soft else dst)] = amount
-    eq_names = []
-    for k in range(n_coms):
-        eq_names += [f"init_n{v}_k{k}" for v in node_ids]
-        eq_names += [f"bal_t{t}_n{v}_k{k}" for t in range(1, f + 1) for v in node_ids]
-        eq_names += [f"fin_k{k}"] if soft else [f"fin_n{v}_k{k}" for v in node_ids]
 
     # Inequality rows: for each commodity with a deadline, one ddl row per
-    # timestamp from its deadline index to f (f + 1 stands in for "no
-    # deadline", giving no rows); then arccap, then bufcap.
+    # timestamp from its deadline index to f (none for dl = f + 1); then
+    # arccap, then bufcap.
     ub: list[tuple[np.ndarray, np.ndarray, float]] = []
-    deadlines = [_deadline_index(plan, com) for com in coms]
-    dl = np.array([f + 1 if d is None else d for d in deadlines], dtype=np.int64)
     counts = f + 1 - dl
     ddl_com = np.repeat(ks, counts)
     ddl_row = np.arange(len(ddl_com))
     ddl_t = ddl_row + np.repeat(dl - (np.cumsum(counts) - counts), counts)
-    ub.append((ddl_row, b_col(ddl_t, dst[ddl_com], ddl_com), -1.0))
+    ub.append((ddl_row, b_cols[ddl_t, dst[ddl_com], ddl_com], -1.0))
     if soft:
         ub.append((ddl_row, s_base + ddl_com, -1.0))
     ub_rhs = [-amount[ddl_com]]
-    ub_names = [f"ddl_t{t}_k{k}" for t, k in zip(ddl_t.tolist(), ddl_com.tolist())]
+    n_ub = len(ddl_row)
 
     capped = sends.any(axis=1)
-    arccap_row = len(ub_names) + np.cumsum(capped) - 1
+    arccap_row = n_ub + np.cumsum(capped) - 1
     ub.append((arccap_row[x_arc], np.arange(n_x), 1.0))
     ub_rhs.append(np.array([float(a.capacity) for a in arcs], dtype=np.float64)[capped])
-    ub_names += [
-        f"arccap_c{a.contact_id}_s{a.state}" for a, has in zip(arcs, capped.tolist()) if has
-    ]
+    n_ub += int(capped.sum())
 
     if coms:
-        ct, ck = (a.ravel() for a in np.indices((f + 1, n_coms)))
+        ct, ck = np.nonzero(live)
         for spec in plan.nodes:
             if math.isinf(spec.buffer_capacity):
                 continue
-            ub.append((len(ub_names) + ct, b_col(ct, pos[spec.node_id], ck), 1.0))
+            ub.append((n_ub + ct, b_cols[ct, pos[spec.node_id], ck], 1.0))
             ub_rhs.append(np.full(f + 1, spec.buffer_capacity))
-            ub_names += [f"bufcap_t{t}_n{spec.node_id}" for t in range(f + 1)]
+            n_ub += f + 1
 
-    n_vars = len(var_names)
     return LpProblem(
         plan=plan,
         commodities=coms,
@@ -421,14 +486,11 @@ def build_lp(
         x_index=x_index,
         b_index=b_index,
         slack_index=slack_index,
-        var_names=var_names,
         objective=objective,
-        a_eq=_matrix(eq, len(eq_names), n_vars),
+        a_eq=_matrix(eq, n_eq, n_vars),
         b_eq=b_eq,
-        eq_names=eq_names,
-        a_ub=_matrix(ub, len(ub_names), n_vars),
+        a_ub=_matrix(ub, n_ub, n_vars),
         b_ub=np.concatenate(ub_rhs),
-        ub_names=ub_names,
     )
 
 
@@ -464,21 +526,27 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         return LpSolution(status="infeasible", objective=None)
     if res.status != 0:
         raise LpSolverError(f"solver failure (status {res.status}): {res.message}")
-    x = res.x
+    x = res.x.tolist()
     return LpSolution(
         status="optimal",
         objective=float(res.fun),
-        x_flows={key: float(x[col]) for key, col in problem.x_index.items()},
-        buffers={key: float(x[col]) for key, col in problem.b_index.items()},
-        slacks={k: float(x[col]) for k, col in problem.slack_index.items()},
+        x_flows={key: x[col] for key, col in problem.x_index.items()},
+        buffers={key: x[col] for key, col in problem.b_index.items()},
+        slacks={k: x[col] for k, col in problem.slack_index.items()},
     )
 
 
 def verify_solution(
     problem: LpProblem, solution: LpSolution, tol: float = 1e-6
 ) -> list[Violation]:
-    """Re-check every model constraint directly from the plan and
-    commodities, independently of the assembled rows.
+    """Re-check every constraint of the full model directly from the plan
+    and commodities, independently of the assembled rows.
+
+    The full model has every arc x state x commodity and every timestamp;
+    variables the solution does not hold read as zero. One pass over the
+    flows checks their signs and the structural rules and sums each
+    (state, node, commodity)'s net inflow and each arc's load; the row
+    checks then read those sums.
 
     Returns one Violation per constraint off by more than tol; an empty
     list certifies the solution. Raises ValueError on status or shape
@@ -486,32 +554,44 @@ def verify_solution(
     """
     if solution.status != "optimal":
         raise ValueError("only optimal solutions can be verified")
-    unknown_x = set(solution.x_flows) - set(problem.x_index)
-    unknown_b = set(solution.buffers) - set(problem.b_index)
-    unknown_s = set(solution.slacks) - set(problem.slack_index)
+    unknown_x = sum(key not in problem.x_index for key in solution.x_flows)
+    unknown_b = sum(key not in problem.b_index for key in solution.buffers)
+    unknown_s = sum(k not in problem.slack_index for k in solution.slacks)
     if unknown_x or unknown_b or unknown_s:
         raise ValueError(
-            f"solution shape mismatch: {len(unknown_x)} flow, {len(unknown_b)} buffer, "
-            f"{len(unknown_s)} slack keys not in the problem"
+            f"solution shape mismatch: {unknown_x} flow, {unknown_b} buffer, "
+            f"{unknown_s} slack keys not in the problem"
         )
 
     plan = problem.plan
-    grid = plan.grid
-    f = grid.state_count
+    f = plan.grid.state_count
     coms = problem.commodities
     node_ids = sorted(plan.node_ids)
-    arcs = _plan_arcs(plan)
-    arcs_into: dict[tuple[int, int], list[_Arc]] = {}
-    arcs_from: dict[tuple[int, int], list[_Arc]] = {}
-    for a in arcs:
-        arcs_into.setdefault((a.to_node, a.state), []).append(a)
-        arcs_from.setdefault((a.from_node, a.state), []).append(a)
+    arc_at = {(a.contact_id, a.state): a for a in _plan_arcs(plan)}
+    gens = [_generation_index(plan, com) for com in coms]
 
     X = solution.x_flows
     B = solution.buffers
     out: list[Violation] = []
+    net: dict[tuple[int, int, int], float] = {}
+    load: dict[tuple[int, int], float] = {}
 
-    for key, val in list(X.items()) + list(B.items()):
+    for key, val in X.items():
+        cid, q, k = key
+        a = arc_at.get((cid, q))
+        if a is None:
+            raise ValueError(f"solution shape mismatch: contact {cid} has no arc in state {q}")
+        if val < -tol:
+            out.append(Violation("nonnegative", str(key), -val))
+        if abs(val) > tol:
+            if q <= gens[k]:
+                out.append(Violation("no-early-send", f"contact {cid} state {q} k{k}", abs(val)))
+            if a.from_node == coms[k].dst:
+                out.append(Violation("dest-no-reemit", f"contact {cid} state {q} k{k}", abs(val)))
+        net[(q, a.to_node, k)] = net.get((q, a.to_node, k), 0.0) + val
+        net[(q, a.from_node, k)] = net.get((q, a.from_node, k), 0.0) - val
+        load[(cid, q)] = load.get((cid, q), 0.0) + val
+    for key, val in B.items():
         if val < -tol:
             out.append(Violation("nonnegative", str(key), -val))
     for k, val in solution.slacks.items():
@@ -519,28 +599,9 @@ def verify_solution(
             out.append(Violation("nonnegative", f"slack k{k}", -val))
 
     for k, com in enumerate(coms):
-        gen = _generation_index(plan, com)
+        gen = gens[k]
         slack = solution.slacks.get(k, 0.0)
         supply = dict(com.supply)
-
-        for a in arcs:
-            flow = X.get((a.contact_id, a.state, k), 0.0)
-            if a.state <= gen and abs(flow) > tol:
-                out.append(
-                    Violation(
-                        "no-early-send",
-                        f"contact {a.contact_id} state {a.state} k{k}",
-                        abs(flow),
-                    )
-                )
-            if a.from_node == com.dst and abs(flow) > tol:
-                out.append(
-                    Violation(
-                        "dest-no-reemit",
-                        f"contact {a.contact_id} state {a.state} k{k}",
-                        abs(flow),
-                    )
-                )
 
         for v in node_ids:
             want = supply.get(v, 0.0) if gen == 0 else 0.0
@@ -550,18 +611,11 @@ def verify_solution(
 
         for t in range(1, f + 1):
             for v in node_ids:
-                inflow = sum(
-                    X.get((a.contact_id, t, k), 0.0) for a in arcs_into.get((v, t), [])
-                )
-                outflow = sum(
-                    X.get((a.contact_id, t, k), 0.0) for a in arcs_from.get((v, t), [])
-                )
                 injected = supply.get(v, 0.0) if t == gen else 0.0
                 residual = (
                     B.get((t, v, k), 0.0)
                     - B.get((t - 1, v, k), 0.0)
-                    - inflow
-                    + outflow
+                    - net.get((t, v, k), 0.0)
                     - injected
                 )
                 if abs(residual) > tol:
@@ -585,16 +639,10 @@ def verify_solution(
                 if abs(have - want) > tol:
                     out.append(Violation("fin", f"node {v} k{k}", abs(have - want)))
 
-    for a in arcs:
-        total = sum(X.get((a.contact_id, a.state, k), 0.0) for k in range(len(coms)))
+    for (cid, q), a in arc_at.items():
+        total = load.get((cid, q), 0.0)
         if total > a.capacity + tol:
-            out.append(
-                Violation(
-                    "arccap",
-                    f"contact {a.contact_id} state {a.state}",
-                    total - a.capacity,
-                )
-            )
+            out.append(Violation("arccap", f"contact {cid} state {q}", total - a.capacity))
 
     for spec in plan.nodes:
         if math.isinf(spec.buffer_capacity):

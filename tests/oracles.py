@@ -1,17 +1,28 @@
-"""Independent brute-force route enumeration used to check the search code.
+"""Independent reference implementations used to check the library code.
 
-This deliberately re-derives the scheduling rule from scratch on raw
-timestamps (no state-index helpers shared with the implementation): a
-contact can carry traffic available at time t in the first whole state of
-its window starting at or after t, and the traffic arrives when that
-state ends. Routes may not revisit a node.
+`enumerate_routes` is a brute-force route enumeration. It deliberately
+re-derives the scheduling rule from scratch on raw timestamps (no
+state-index helpers shared with the implementation): a contact can carry
+traffic available at time t in the first whole state of its window
+starting at or after t, and the traffic arrives when that state ends.
+Routes may not revisit a node.
+
+`solve_full_lp` writes the flow bound's full model out row by row as
+plain dicts, with no per-commodity windows: a flow variable for every arc
+and commodity (bar the structural no-early-send and dest-no-reemit rules)
+and a buffer variable for every timestamp.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
+
 from cgrlab.contact_plan import Contact, ContactPlan
+from cgrlab.lp_oracle import Commodity, LpSolution
 
 RouteKey = tuple[float, int, tuple[int, ...]]
 
@@ -55,3 +66,94 @@ def enumerate_routes(
 
     walk(source, t_now, {source}, ())
     return sorted(found)
+
+
+def solve_full_lp(plan: ContactPlan, commodities: list[Commodity], soft: bool) -> LpSolution:
+    """Solve the unwindowed flow model with linear state weights."""
+    grid = plan.grid
+    f = grid.state_count
+    nodes = sorted(plan.node_ids)
+    arcs = [
+        (c, q) for c in plan.contacts for q in plan.windows[c.contact_id].states
+    ]
+    big_m = grid.horizon * max(1, len(arcs))
+    cost: dict[tuple, float] = {}
+    eq: list[tuple[dict[tuple, float], float]] = []
+    ub: list[tuple[dict[tuple, float], float]] = []
+
+    for k, com in enumerate(commodities):
+        gen = grid.boundary_index(com.t_gen)
+        supply = dict(com.supply)
+        flows = {}
+        for c, q in arcs:
+            if q > gen and c.from_node != com.dst:
+                flows[(c, q)] = ("X", c.contact_id, q, k)
+                cost[("X", c.contact_id, q, k)] = float(q)
+        for t in range(f + 1):
+            for v in nodes:
+                row = {("B", t, v, k): 1.0}
+                if t > 0:
+                    row[("B", t - 1, v, k)] = -1.0
+                for (c, q), var in flows.items():
+                    if q == t and c.to_node == v:
+                        row[var] = row.get(var, 0.0) - 1.0
+                    if q == t and c.from_node == v:
+                        row[var] = row.get(var, 0.0) + 1.0
+                eq.append((row, supply.get(v, 0.0) if t == gen else 0.0))
+        slack = {("S", k): 1.0} if soft else {}
+        if soft:
+            cost[("S", k)] = big_m
+        if not math.isinf(com.ttl):
+            for t in range(grid.floor_boundary_index(com.deadline), f + 1):
+                ub.append(({("B", t, com.dst, k): -1.0, **{s: -1.0 for s in slack}}, -com.amount))
+        if soft:
+            eq.append(({("B", f, com.dst, k): 1.0, **slack}, com.amount))
+        else:
+            for v in nodes:
+                eq.append(({("B", f, v, k): 1.0}, com.amount if v == com.dst else 0.0))
+
+    for c, q in arcs:
+        row = {var: 1.0 for var in cost if var[:3] == ("X", c.contact_id, q)}
+        if row:
+            ub.append((row, float(c.capacity)))
+    for spec in plan.nodes:
+        if not math.isinf(spec.buffer_capacity):
+            for t in range(f + 1):
+                row = {("B", t, spec.node_id, k): 1.0 for k in range(len(commodities))}
+                ub.append((row, spec.buffer_capacity))
+
+    variables = sorted({var for row, _ in eq + ub for var in row} | set(cost))
+    if not variables:
+        return LpSolution(status="optimal", objective=0.0)
+    col = {var: i for i, var in enumerate(variables)}
+
+    def matrix(rows):
+        if not rows:
+            return None, None
+        data, ri, ci = [], [], []
+        for i, (row, _) in enumerate(rows):
+            for var, coef in row.items():
+                data.append(coef)
+                ri.append(i)
+                ci.append(col[var])
+        return csr_matrix((data, (ri, ci)), shape=(len(rows), len(variables))), np.array(
+            [rhs for _, rhs in rows]
+        )
+
+    a_eq, b_eq = matrix(eq)
+    a_ub, b_ub = matrix(ub)
+    res = linprog(
+        [cost.get(var, 0.0) for var in variables],
+        A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+    )
+    if res.status == 2:
+        return LpSolution(status="infeasible", objective=None)
+    assert res.status == 0, res.message
+    values = dict(zip(variables, res.x.tolist()))
+    return LpSolution(
+        status="optimal",
+        objective=float(res.fun),
+        x_flows={var[1:]: x for var, x in values.items() if var[0] == "X"},
+        buffers={var[1:]: x for var, x in values.items() if var[0] == "B"},
+        slacks={var[1]: x for var, x in values.items() if var[0] == "S"},
+    )

@@ -148,6 +148,19 @@ def test_lp_reports_infeasible(plan_file, tmp_path, capsys):
     assert json.loads(out) == {"status": "infeasible"}
 
 
+def test_lp_deadline_past_a_subnormal_grid_clamps_to_its_end(tmp_path, capsys):
+    # The 20 s deadline lies far past the 3e-320 s horizon.
+    plan = tmp_path / "tiny.cp"
+    plan.write_text("plan 3 1e-320\nnode 1 inf\nnode 2 inf\ncontact 1 1 2 0 1e-320 5\n")
+    demands = tmp_path / "demands.json"
+    demands.write_text('[{"src": 1, "dst": 2, "t_gen": 0, "ttl": 20, "count": 1}]')
+    code, out, _ = run_cli(capsys, "lp", "--plan", plan, "--demands", demands)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "optimal"
+    assert doc["delivery_ratio"] == 1.0
+
+
 def test_verify_accepts_saved_solution(plan_file, demands_file, tmp_path, capsys):
     saved = tmp_path / "solution.json"
     run_cli(capsys, "lp", "--plan", plan_file, "--demands", demands_file,

@@ -97,6 +97,17 @@ def test_underflowing_state_duration_gives_an_off_grid_diagnostic():
     assert "off-grid-timestamp" in {d.code for d in err.value.diagnostics}
 
 
+def test_overflowing_ratios_clamp_to_the_grid():
+    # 20 / 1e-320 overflows to inf: past the grid's end, not an error.
+    grid = StateGrid(3, 1e-320)
+    assert grid.floor_boundary_index(20.0) == 3
+    assert grid.floor_boundary_index(-20.0) == 0
+    assert grid.floor_boundary_index(1e-320) == 1
+    assert grid.first_state_starting_at_or_after(20.0) == 4
+    assert grid.first_state_starting_at_or_after(-20.0) == 1
+    assert grid.first_state_starting_at_or_after(0.0) == 1
+
+
 def test_overflowing_buffer_capacity_is_a_syntax_error():
     with pytest.raises(PlanSyntaxError) as err:
         parse_contact_plan("plan 3 10\nnode 1 1" + "0" * 400 + "\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -32,6 +33,7 @@ from cgrlab.lp_oracle import (
 from cgrlab.simulator import Demand
 
 from conftest import THREE_NODE_PLAN, random_small_plan
+from oracles import solve_full_lp
 
 TOL = 1e-6
 
@@ -107,7 +109,10 @@ def test_commodity_rejects_malformed_supply(supply):
 
 def test_three_node_problem_shape(fig1_plan, fig1_commodities):
     problem = build_lp(fig1_plan, fig1_commodities)
-    assert len(problem.x_index) == 6  # 3 single-state arcs x 2 commodities
+    # 3 single-state arcs x 2 commodities, less the ttl-20 commodity's
+    # state-3 arc, which ends after its deadline
+    assert len(problem.x_index) == 5
+    assert (3, 3, 1) not in problem.x_index
     assert len(problem.b_index) == 24  # 3 nodes x 4 timestamps x 2 commodities
     assert problem.slack_index == {}
 
@@ -191,6 +196,7 @@ def test_no_flow_before_generation(fig1_plan):
     commodities = [Commodity(3, 10.0, math.inf, ((1, 5.0),))]
     problem = build_lp(fig1_plan, commodities)
     assert all(state >= 2 for (_, state, _) in problem.x_index)
+    assert sorted({t for (t, _, _) in problem.b_index}) == [1, 2, 3]
     solution = solve_lp(problem)
     assert solution.status == "optimal"
     assert verify_solution(problem, solution, TOL) == []
@@ -236,6 +242,46 @@ def test_mutated_solutions_are_rejected(fig1_solved):
         else:
             mutated.buffers[key] += delta
         assert verify_solution(problem, mutated, TOL), f"mutation {trial} not caught"
+
+
+# One mutation per constraint family on the buffered three-node optimum:
+# (family, "x" for a flow or "b" for a buffer, key, delta).
+FAMILY_MUTATIONS = [
+    ("nonnegative", "b", (1, 2, 0), -1.0),
+    ("init", "b", (0, 1, 0), 1.0),
+    ("bal", "x", (3, 3, 0), -1.0),
+    ("ddl", "b", (2, 3, 1), -1.0),
+    ("fin", "b", (3, 3, 0), -1.0),
+    ("arccap", "x", (3, 3, 0), 1.0),
+    ("bufcap", "b", (1, 2, 1), 10.0),
+]
+
+
+@pytest.mark.parametrize("family, kind, key, delta", FAMILY_MUTATIONS)
+def test_each_constraint_family_reports_its_violations(fig1_demands, family, kind, key, delta):
+    problem = build_lp(_buffered_three_node_plan(), demands_to_commodities(fig1_demands))
+    solution = solve_lp(problem)
+    assert verify_solution(problem, solution, TOL) == []
+    values = solution.x_flows if kind == "x" else solution.buffers
+    values[key] += delta
+    assert family in {v.constraint for v in verify_solution(problem, solution, TOL)}
+
+
+def test_structural_violations_are_reported(fig1_plan):
+    # The model has no variable for these flows, so the problem's index
+    # map is widened to let the verifier see them.
+    plan = ContactPlan(
+        fig1_plan.grid,
+        list(fig1_plan.nodes),
+        list(fig1_plan.contacts) + [Contact(4, 3, 1, 10.0, 20.0, 10)],
+    )
+    problem = build_lp(plan, [Commodity(3, 10.0, math.inf, ((1, 5.0),))])
+    solution = solve_lp(problem)
+    for key, family in (((1, 1, 0), "no-early-send"), ((4, 2, 0), "dest-no-reemit")):
+        widened = dataclasses.replace(problem, x_index={**problem.x_index, key: -1})
+        mutated = solution_from_json(solution_to_json(solution))
+        mutated.x_flows[key] = 1.0
+        assert family in {v.constraint for v in verify_solution(widened, mutated, TOL)}
 
 
 def test_all_zero_solution_violates_final_residence(fig1_plan, fig1_commodities):
@@ -364,6 +410,81 @@ def test_class_commodities_match_the_per_source_model(seed, soft):
         assert aggregated.objective == pytest.approx(per_source.objective, rel=1e-6, abs=1e-9)
 
 
+def _assert_matches_the_full_model(plan, commodities, soft):
+    """build_lp and the unwindowed oracle agree, and both optima certify."""
+    problem = build_lp(plan, commodities, soft=soft)
+    windowed = solve_lp(problem)
+    full = solve_full_lp(plan, commodities, soft)
+    assert windowed.status == full.status
+    if windowed.status == "optimal":
+        assert windowed.objective == pytest.approx(full.objective, rel=1e-6, abs=1e-9)
+        assert verify_solution(problem, windowed, TOL) == []
+        # The verifier checks the full model; widen the problem's index
+        # maps so it accepts the oracle's extra variables.
+        widened = dataclasses.replace(
+            problem, x_index=dict.fromkeys(full.x_flows), b_index=dict.fromkeys(full.buffers)
+        )
+        assert verify_solution(widened, full, TOL) == []
+    return windowed
+
+
+@given(seed=st.integers(0, 2**32 - 1), soft=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_windowed_model_matches_the_full_model(seed, soft):
+    # Random small plans with finite buffers (0 included), classes
+    # generated after t = 0 too, mixed TTLs and several sources per class.
+    rng = random.Random(seed)
+    base = random_small_plan(rng, max_contacts=20)
+    nodes = [NodeSpec(n.node_id, rng.choice([math.inf, 0.0, 4.0, 10.0])) for n in base.nodes]
+    plan = ContactPlan(base.grid, nodes, list(base.contacts))
+    demands = []
+    for _ in range(rng.randint(1, 4)):
+        dst = rng.choice(sorted(plan.node_ids))
+        t_gen = plan.grid.state_start(rng.randint(1, plan.grid.state_count))
+        ttl = rng.choice([math.inf, 0.0, 10.0, 20.0, 30.0])
+        others = sorted(plan.node_ids - {dst})
+        demands += [
+            Demand(src, dst, t_gen, ttl, rng.randint(1, 4))
+            for src in rng.sample(others, rng.randint(1, len(others)))
+        ]
+    _assert_matches_the_full_model(plan, demands_to_commodities(demands), soft)
+
+
+def test_soft_expired_class_still_moves_to_free_a_finite_buffer():
+    # Class 0 cannot meet its deadline and stays stranded at node 1. When
+    # class 1 appears there at t = 20, the 10-packet buffer only holds both
+    # if 5 of class 0's packets move on in state 2, after their deadline.
+    plan = parse_contact_plan(
+        "plan 3 10\nnode 1 10\nnode 2 inf\nnode 3 inf\n"
+        "contact 1 1 2 10 20 10\ncontact 2 1 3 20 30 10\n"
+    )
+    commodities = [
+        Commodity(3, 0.0, 10.0, ((1, 10.0),)),
+        Commodity(3, 20.0, math.inf, ((1, 5.0),)),
+    ]
+    solution = _assert_matches_the_full_model(plan, commodities, soft=True)
+    assert solution.status == "optimal"
+    assert solution.objective == pytest.approx(625.0)
+    assert solution.slacks == {0: pytest.approx(10.0), 1: pytest.approx(0.0, abs=TOL)}
+    assert solution.x_flows[(1, 2, 0)] == pytest.approx(5.0)
+
+
+def test_hard_deadline_class_keeps_its_horizon_when_a_contact_leaves_the_plan():
+    # Node 9 is not declared, so contacts to and from it break mass
+    # conservation: the full model delivers a packet from node 9 by the
+    # deadline and sinks the real one into node 9 in state 2, after it.
+    grid = StateGrid(3, 10.0)
+    plan = ContactPlan(
+        grid,
+        [NodeSpec(1), NodeSpec(2)],
+        [Contact(1, 9, 2, 0.0, 10.0, 5), Contact(2, 1, 9, 10.0, 20.0, 5)],
+    )
+    commodities = [Commodity(2, 0.0, 10.0, ((1, 1.0),))]
+    solution = _assert_matches_the_full_model(plan, commodities, soft=False)
+    assert solution.status == "optimal"
+    assert solution.objective == pytest.approx(3.0)
+
+
 def _study_inputs(seed: int, load: int, injection: str):
     """The congestion study's plan and commodities for one seed and load."""
     grid = StateGrid(10, 10.0)
@@ -411,44 +532,46 @@ def _buffered_three_node_plan():
 # coefficients shows here, and HiGHS would then see a different input.
 # The two study models were re-captured when commodities became one per
 # (dst, t_gen, ttl) class: 2 classes instead of 10 per-source commodities
-# in the burst study, 20 instead of 100 per state. The three-node models
-# have one source per class, so their digests did not move.
+# in the burst study, 20 instead of 100 per state. All three models with
+# commodities were re-captured again when each class got its window: no
+# buffers before its generation timestamp, and no flow after its deadline
+# (the ttl-20 classes). The model without commodities did not move.
 _EMPTY = "e3b0c44298fc1c14"
 PINNED_MODELS = {
     "study-seed1-load5-hard": (
         lambda: _study_inputs(1, 5, "burst"),
         False,
         {
-            "var_names": "cd84f28e670de140",
+            "var_names": "4c75cf0891202823",
             "eq_names": "5d4853f8ca5bcf35",
             "ub_names": "6ef7f8407fe029ff",
-            "objective": "8a26f4e47bd203ac",
+            "objective": "8e777349d3f39b79",
             "b_eq": "887c3961f2f6f8ef",
             "b_ub": "a77fe753e5314f7b",
-            "a_eq.indptr": "c4c8d20f7b9e8c86",
-            "a_eq.indices": "44622ad3d63e3954",
-            "a_eq.data": "778aebbf4adc64a6",
-            "a_ub.indptr": "88e3cdbca6af580e",
-            "a_ub.indices": "b68a26a8dc353b10",
-            "a_ub.data": "0f209028d3ec1649",
+            "a_eq.indptr": "3afb6f1874748b5e",
+            "a_eq.indices": "386480ae00e59ea0",
+            "a_eq.data": "6ebfc9b49aa8b8de",
+            "a_ub.indptr": "7207a77f43bdc6ed",
+            "a_ub.indices": "83913b09a9be1182",
+            "a_ub.data": "adafef3dee5c9efa",
         },
     ),
     "perstate-seed2-load3-soft": (
         lambda: _study_inputs(2, 3, "per-state"),
         True,
         {
-            "var_names": "6e5b3c4798a73b83",
-            "eq_names": "443c07db30f596c7",
+            "var_names": "25391e1cd428e142",
+            "eq_names": "fbd2bf9e226e01d1",
             "ub_names": "dc181f1facd554ba",
-            "objective": "6e827109282ac7a5",
-            "b_eq": "fb1e8e4b4baa1c2a",
+            "objective": "75a10050e6d026cb",
+            "b_eq": "cc91dfb973c460df",
             "b_ub": "840105d50052afe8",
-            "a_eq.indptr": "f79b49a1edd3d40a",
-            "a_eq.indices": "fdb0844f94a51623",
-            "a_eq.data": "1ec5b2d93e3b91c5",
-            "a_ub.indptr": "74d0529dc33984d4",
-            "a_ub.indices": "8a63fa263840d595",
-            "a_ub.data": "ab67ee36feea3449",
+            "a_eq.indptr": "b9ad203002eeb4ad",
+            "a_eq.indices": "afa394c58375ff29",
+            "a_eq.data": "ff9de6678fefad5d",
+            "a_ub.indptr": "d7f0541a01a9a00f",
+            "a_ub.indices": "76bbf2cec398dc88",
+            "a_ub.data": "9fca9af44b5c4227",
         },
     ),
     "three-node-finite-buffer": (
@@ -458,18 +581,18 @@ PINNED_MODELS = {
         ),
         False,
         {
-            "var_names": "92ca9385a1796751",
+            "var_names": "6a3373ced618a3e0",
             "eq_names": "62778c61d6d408a4",
             "ub_names": "6be68f23ab464937",
-            "objective": "37174d35a97228c9",
+            "objective": "e998e2df2bf9eaa4",
             "b_eq": "f2fca933d8c2f62d",
             "b_ub": "3a99bc849a972b17",
-            "a_eq.indptr": "2bdd59f6fccfe304",
-            "a_eq.indices": "bde6721e5b36a2dd",
-            "a_eq.data": "8f2baf27dcbc9e11",
-            "a_ub.indptr": "94fb75552e893527",
-            "a_ub.indices": "9213e6c3b0f98a58",
-            "a_ub.data": "3e51651775f12c21",
+            "a_eq.indptr": "aae619d2e760b1fe",
+            "a_eq.indices": "2b680ccb7ecf72e8",
+            "a_eq.data": "9abd08ad11d8f6c0",
+            "a_ub.indptr": "0a46cbbc5820555d",
+            "a_ub.indices": "c35f8f3069395db7",
+            "a_ub.data": "053c918388fe3f4f",
         },
     ),
     "three-node-no-commodities": (
