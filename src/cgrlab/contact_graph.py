@@ -155,14 +155,18 @@ def earliest_delivery_route(
     Suppressed contacts and nodes are excluded from the search, which is
     what the k-best layer needs to force deviations.
 
-    The search labels contacts with (arrival_state, hops, id sequence,
-    visited nodes) and settles them in key order. A label is discarded
-    when an already settled label at the same contact arrives no later,
-    uses no more hops, has a lexicographically no-larger id sequence, and
-    visited a subset of its nodes: any continuation of the discarded label
-    is then matched or beaten by the settled one. Plain single-label
-    relaxation is not enough here because hops and id-sequence ties are
-    part of the key.
+    The search labels contacts with (arrival_state, hops, id sequence)
+    and settles them in key order. A label is discarded when a settled
+    label at the same contact arrives no later, uses no more hops and has
+    a no-larger id sequence: any continuation then does at least as well
+    from the settled label. The id term is needed because the key breaks
+    ties on ids; (arrival_state, hops) alone can discard the label whose
+    continuation ties on delivery and hops with the smaller ids.
+
+    Labels carry no visited-node set. A walk that revisits a node loses to
+    its shortcut, the walk with the loop cut out, which delivers no later
+    in fewer hops; so the best route is loop-free (Yen 1971; Fraire,
+    De Jonckere & Burleigh 2021).
     """
     _require_nodes(plan, source, dest)
     if source == dest:
@@ -175,36 +179,28 @@ def earliest_delivery_route(
     windows = plan.windows
     start_avail = plan.grid.first_state_starting_at_or_after(t_now) - 1
 
-    # Heap entries: (arrival_state, hops, id sequence, node, visited nodes).
-    # Sequences are unique per entry, so comparisons never reach the set.
-    heap: list[tuple[int, int, tuple[int, ...], int, frozenset[int]]] = [
-        (start_avail, 0, (), source, frozenset((source,)))
-    ]
-    settled: dict[int, list[tuple[int, int, tuple[int, ...], frozenset[int]]]] = {}
+    # Heap entries: (arrival_state, hops, id sequence, node). Sequences
+    # are unique per entry, so comparisons never reach the node.
+    heap: list[tuple[int, int, tuple[int, ...], int]] = [(start_avail, 0, (), source)]
+    settled: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
 
     while heap:
-        avail, hops, seq, node, visited = heapq.heappop(heap)
+        avail, hops, seq, node = heapq.heappop(heap)
         if node == dest:
             return route_attributes(plan, list(seq), t_now)
         if seq:
             prior = settled.setdefault(seq[-1], [])
-            if any(
-                a <= avail and h <= hops and s <= seq and v <= visited
-                for a, h, s, v in prior
-            ):
+            if any(a <= avail and h <= hops and s <= seq for a, h, s in prior):
                 continue
-            prior.append((avail, hops, seq, visited))
+            prior.append((avail, hops, seq))
         for c in plan.contacts_from(node):
-            if c.contact_id in sup_c or c.to_node in sup_n or c.to_node in visited:
+            if c.contact_id in sup_c or c.to_node in sup_n:
                 continue
             first, last = windows[c.contact_id]
             if last <= avail:
                 continue
             q = max(avail + 1, first)
-            heapq.heappush(
-                heap,
-                (q, hops + 1, seq + (c.contact_id,), c.to_node, visited | {c.to_node}),
-            )
+            heapq.heappush(heap, (q, hops + 1, seq + (c.contact_id,), c.to_node))
     return None
 
 

@@ -178,10 +178,7 @@ class LpProblem:
 
     plan: ContactPlan
     commodities: tuple[Commodity, ...]
-    weights: tuple[float, ...]
     soft: bool
-    big_m: float
-    arcs: tuple[_Arc, ...]
     x_index: dict[tuple[int, int, int], int]
     b_index: dict[tuple[int, int, int], int]
     slack_index: dict[int, int]
@@ -479,10 +476,7 @@ def build_lp(
     return LpProblem(
         plan=plan,
         commodities=coms,
-        weights=ws,
         soft=soft,
-        big_m=big_m,
-        arcs=tuple(arcs),
         x_index=x_index,
         b_index=b_index,
         slack_index=slack_index,

@@ -2,8 +2,8 @@
 
 The run advances one state at a time. Within a state, in this order:
 
-1. packets still queued on contacts that have ended are returned to their
-   node's store for a fresh decision;
+1. packets still queued on contacts whose last covered state has passed
+   are returned to their node's store for a fresh decision;
 2. demands generated at the state start are injected;
 3. each node, in ascending node id, makes a forwarding decision for every
    stored packet in FIFO arrival order (enqueue on the chosen route's
@@ -200,10 +200,12 @@ def run_simulation(
     node_ids = sorted(plan.node_ids)
     ledgers = {nid: CapacityLedger.for_plan(plan) for nid in node_ids}
     inbox: dict[int, deque[Packet]] = {nid: deque() for nid in node_ids}
+    # Each node's queues in contact-id order, the order they return packets in.
     queues: dict[int, dict[int, deque[Packet]]] = {nid: {} for nid in node_ids}
-    for c in plan.contacts:
+    for c in sorted(plan.contacts, key=lambda contact: contact.contact_id):
         queues[c.from_node][c.contact_id] = deque()
 
+    windows = plan.windows
     state_contacts = plan.state_contacts
     trackers: dict[int, _Tracker] = {}
     utilization: dict[tuple[int, int], int] = {}
@@ -213,11 +215,10 @@ def run_simulation(
         t_start = grid.state_start(q)
         t_end = grid.state_end(q)
 
-        # Packets left on a finished contact go back to the store.
+        # Packets left on a contact with no state left go back to the store.
         for nid in node_ids:
-            for cid in sorted(queues[nid]):
-                queue = queues[nid][cid]
-                if queue and plan.contact(cid).end <= t_start:
+            for cid, queue in queues[nid].items():
+                if queue and windows[cid].last < q:
                     inbox[nid].extend(queue)
                     queue.clear()
 

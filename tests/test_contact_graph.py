@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from cgrlab.contact_graph import (
     route_attributes,
     route_table_csv,
 )
-from cgrlab.contact_plan import Contact, ContactPlan, NodeSpec, StateGrid
+from cgrlab.contact_plan import Contact, ContactPlan, NodeSpec, StateGrid, parse_contact_plan
 
 from conftest import random_small_plan
 from oracles import enumerate_routes
@@ -59,6 +60,22 @@ def test_earliest_route_prefers_delivery_time(fig1_plan):
     r = earliest_delivery_route(fig1_plan, 1, 3, 0.0)
     assert r.contacts == (1, 2)
     assert r.delivery_time == 20.0
+
+
+def test_earliest_route_breaks_delivery_and_hop_ties_on_contact_ids():
+    # (22, 9) reaches contact 9 two states before (6, 9) with the same hops,
+    # yet both deliver at 60 in 3 hops, so the smaller ids must win.
+    plan = parse_contact_plan(
+        "plan 6 10\n"
+        "node 2 inf\nnode 4 inf\nnode 5 inf\nnode 6 inf\n"
+        "contact 22 5 6 0 20 1\n"
+        "contact 6 5 6 20 50 1\n"
+        "contact 9 6 4 10 60 1\n"
+        "contact 16 4 2 50 60 1\n"
+    )
+    r = earliest_delivery_route(plan, 5, 2)
+    assert r.contacts == (6, 9, 16)
+    assert r.delivery_time == 60.0
 
 
 def test_earliest_route_unreachable(fig1_plan):
@@ -167,17 +184,18 @@ def test_earliest_route_with_suppressions_matches_enumeration():
 
 
 def test_k_best_matches_enumeration_on_seeded_plans():
-    for seed in range(150):
+    for seed, max_contacts in itertools.product(range(150), (8, 16)):
         rng = random.Random(2000 + seed)
-        plan = random_small_plan(rng)
+        plan = random_small_plan(rng, max_contacts)
         nodes = sorted(plan.node_ids)
         src, dst = nodes[0], nodes[-1]
         expected = enumerate_routes(plan, src, dst, 0.0)
-        got = k_best_routes(plan, src, dst, 0.0, 4)
-        assert [r.contacts for r in got] == [ids for _, _, ids in expected[:4]]
-        assert [r.delivery_time for r in got] == pytest.approx(
-            [d for d, _, _ in expected[:4]]
-        )
+        for k in (1, 4, 6):
+            got = k_best_routes(plan, src, dst, 0.0, k)
+            assert [r.contacts for r in got] == [ids for _, _, ids in expected[:k]]
+            assert [r.delivery_time for r in got] == pytest.approx(
+                [d for d, _, _ in expected[:k]]
+            )
 
 
 def test_k_best_prefix_property():
@@ -192,12 +210,12 @@ def test_k_best_prefix_property():
 
 
 def test_routes_never_revisit_nodes_and_schedule_increases():
-    for seed in range(60):
+    for seed, max_contacts, k in itertools.product(range(60), (8, 16), (1, 4, 6)):
         rng = random.Random(4000 + seed)
-        plan = random_small_plan(rng)
+        plan = random_small_plan(rng, max_contacts)
         nodes = sorted(plan.node_ids)
         src, dst = nodes[0], nodes[-1]
-        for r in k_best_routes(plan, src, dst, 0.0, 4):
+        for r in k_best_routes(plan, src, dst, 0.0, k):
             visited = [src] + [plan.contact(c).to_node for c in r.contacts]
             assert len(set(visited)) == len(visited)
             # transmission states must strictly increase along the chain
