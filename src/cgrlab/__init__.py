@@ -47,6 +47,7 @@ from .simulator import (
 from .lp_oracle import (
     Commodity,
     LpProblem,
+    LpSession,
     LpSolution,
     build_lp,
     demands_to_commodities,

@@ -19,6 +19,8 @@ import io
 import json
 import math
 import statistics
+import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -29,7 +31,14 @@ from .contact_plan import ContactPlan, StateGrid, TopologyConfig, generate_rando
 # look it up on this module by name.
 from .contact_graph import build_route_table, build_route_tables  # noqa: F401
 from .forwarding import Policy
-from .lp_oracle import build_lp, demands_to_commodities, lp_metrics, power_weights, solve_lp
+from .lp_oracle import (
+    LpSession,
+    build_lp,
+    demands_to_commodities,
+    lp_metrics,
+    power_weights,
+    solve_lp,
+)
 from .simulator import Demand, Metrics, compute_metrics, run_simulation
 
 __all__ = [
@@ -291,17 +300,20 @@ def _scenario_demands(cfg: ScenarioConfig, load: int) -> list[Demand]:
 
 
 def _run_seed(cfg: ScenarioConfig, seed: int) -> list[CellResult]:
-    """All (load, scheme) cells for one seed, sharing the plan and tables."""
+    """All (load, scheme) cells for one seed, sharing the plan, the route
+    tables and one LP session: the loads change only the LP's right-hand
+    sides, so each load's LP is solved warm from the previous load's basis."""
     plan, _ = build_scenario(cfg, seed, load=0)
     schemes = cfg.ordered_schemes()
     tables = None
+    session = LpSession()
     rows = []
     for load in cfg.loads:
         demands = _scenario_demands(cfg, load)
         for scheme in schemes:
             try:
                 if scheme == "LP":
-                    rows.append(_run_lp_cell(cfg, plan, demands, seed, load))
+                    rows.append(_run_lp_cell(cfg, plan, demands, seed, load, session))
                 else:
                     if tables is None:
                         tables = build_route_tables(
@@ -324,6 +336,8 @@ def _run_seed(cfg: ScenarioConfig, seed: int) -> list[CellResult]:
                         )
                     )
             except Exception as e:  # cell failures must not abort the sweep
+                print(f"cell seed={seed} load={load} scheme={scheme} failed:", file=sys.stderr)
+                traceback.print_exc()
                 rows.append(
                     CellResult(
                         seed=seed,
@@ -346,12 +360,13 @@ def _run_lp_cell(
     demands: list[Demand],
     seed: int,
     load: int,
+    session: LpSession,
 ) -> CellResult:
     commodities = demands_to_commodities(demands)
     problem = build_lp(
         plan, commodities, power_weights(cfg.lp.weight_exponent), soft=cfg.lp.soft
     )
-    solution = solve_lp(problem)
+    solution = solve_lp(problem, session)
     generated = sum(c.amount for c in commodities)
     if solution.status != "optimal":
         return CellResult(

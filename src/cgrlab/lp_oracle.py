@@ -57,7 +57,18 @@ counts on flow conserving mass, which fails when a contact joins a node
 the plan does not declare (such an arc end has no balance row); the
 parser rejects such plans, but a plan built directly can hold them.
 
-Solving is delegated to scipy's HiGHS backend behind `solve_lp`;
+`solve_lp` hands the model to HiGHS through the binding scipy bundles
+(`scipy.optimize._highspy`), with the rows in `a_ub`, `a_eq` order and the
+dual simplex, the settings `scipy.optimize.linprog` uses, so a cold solve
+returns the same optimum. An `LpSession` keeps the model loaded: a sweep
+solves one seed's loads through one session, and since the loads change
+only the right-hand sides, the dual simplex restarts from the previous
+basis, which stays dual feasible (Huangfu & Hall, "Parallelizing the dual
+revised simplex method", Math. Prog. Comp. 2018). Status and objective do
+not depend on the start, but when several optima tie, a warm solve may
+return another one, so the hops, delay and energy read off it may differ
+from a cold solve's.
+
 `verify_solution` independently re-derives every constraint of the
 full, unwindowed model from the raw plan and commodity data, reading
 missing variables as zero, so a certified solution never depends on the
@@ -80,8 +91,8 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from scipy.optimize._highspy import _core as highs
+from scipy.sparse import csr_matrix, vstack
 
 from .contact_plan import ContactPlan
 from .simulator import Demand, Metrics
@@ -92,6 +103,7 @@ __all__ = [
     "LpSolution",
     "Violation",
     "LpSolverError",
+    "LpSession",
     "power_weights",
     "linear_weights",
     "demands_to_commodities",
@@ -108,6 +120,10 @@ __all__ = [
 WeightFn = Callable[[int], float]
 
 _EPS = 1e-9
+# How far a reported optimum may stray outside its variable and row bounds
+# before it is rejected as a numerical failure: the acceptance tolerance
+# scipy's linprog applies to HiGHS results (10 * sqrt(1e-9)).
+_ACCEPT_TOL = 10 * math.sqrt(1e-9)
 
 
 class LpSolverError(RuntimeError):
@@ -499,31 +515,115 @@ def _matrix(
     return csr_matrix((data, (np.concatenate(rows), np.concatenate(cols))), shape=(n_rows, n_vars))
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve the assembled model with the HiGHS backend.
+class LpSession:
+    """One HiGHS model kept across solves of problems that differ only in
+    their right-hand sides.
 
-    Returns an optimal solution or an explicit infeasible status; any
-    other backend outcome raises LpSolverError.
+    The first problem, and any problem whose objective or constraint
+    matrices differ from the loaded ones, is loaded into a fresh solver and
+    solved cold. Otherwise only the changed row bounds are passed, and the
+    dual simplex restarts from the last basis, which a change of right-hand
+    sides leaves dual feasible.
+    """
+
+    def __init__(self):
+        self._highs = None
+        self._objective = None
+        self._matrices = ()
+        self._row_lower = self._row_upper = None
+
+    def _load(self, problem: LpProblem):
+        """The solver holding `problem`, warm when the structure matches."""
+        matrices = (problem.a_ub, problem.a_eq)
+        n_ub = 0 if problem.a_ub is None else problem.a_ub.shape[0]
+        lower = np.concatenate((np.full(n_ub, -highs.kHighsInf), problem.b_eq))
+        upper = np.concatenate((problem.b_ub, problem.b_eq))
+        if self._highs is not None and self._same_structure(problem.objective, matrices):
+            changed = np.flatnonzero((lower != self._row_lower) | (upper != self._row_upper))
+            for row in changed.tolist():
+                self._highs.changeRowBounds(row, lower[row], upper[row])
+        else:
+            self._highs = _cold_solver(problem.objective, matrices, lower, upper)
+            self._objective, self._matrices = problem.objective, matrices
+        self._row_lower, self._row_upper = lower, upper
+        return self._highs
+
+    def _same_structure(self, objective: np.ndarray, matrices) -> bool:
+        if not np.array_equal(objective, self._objective):
+            return False
+        for new, old in zip(matrices, self._matrices):
+            if (new is None) != (old is None):
+                return False
+            if new is not None and not all(
+                np.array_equal(getattr(new, part), getattr(old, part))
+                for part in ("indptr", "indices", "data")
+            ):
+                return False
+        return True
+
+
+def _cold_solver(objective: np.ndarray, matrices, lower: np.ndarray, upper: np.ndarray):
+    """A new HiGHS instance loaded with the rows a_ub then a_eq, x >= 0."""
+    a = vstack([m for m in matrices if m is not None], format="csc")
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(objective)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(lower)
+    lp.col_cost_ = objective
+    lp.col_lower_ = np.zeros(len(objective))
+    lp.col_upper_ = np.full(len(objective), highs.kHighsInf)
+    lp.row_lower_ = lower
+    lp.row_upper_ = upper
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = a.indptr
+    lp.a_matrix_.index_ = a.indices
+    lp.a_matrix_.value_ = a.data
+    solver = highs._Highs()
+    solver.setOptionValue("output_flag", False)
+    dual = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    solver.setOptionValue("simplex_strategy", dual)
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        raise LpSolverError("solver rejected the model")
+    return solver
+
+
+def _within_bounds(x, rows, row_lower: np.ndarray, row_upper: np.ndarray) -> bool:
+    """Whether x >= 0 and every row activity lies within its bounds, to
+    _ACCEPT_TOL; NaN fails."""
+    x, rows = np.asarray(x), np.asarray(rows)
+    return bool(
+        np.all(x >= -_ACCEPT_TOL)
+        and np.all((rows >= row_lower - _ACCEPT_TOL) & (rows <= row_upper + _ACCEPT_TOL))
+    )
+
+
+def solve_lp(problem: LpProblem, session: LpSession | None = None) -> LpSolution:
+    """Solve the assembled model with HiGHS.
+
+    With a session, the model stays loaded and a later problem that
+    differs only in right-hand sides is solved warm. Returns an optimal
+    solution or an explicit infeasible status; any other solver outcome,
+    or an optimum outside its bounds by more than _ACCEPT_TOL, raises
+    LpSolverError.
     """
     if problem.n_vars == 0:
         return LpSolution(status="optimal", objective=0.0)
-    res = linprog(
-        problem.objective,
-        A_ub=problem.a_ub,
-        b_ub=problem.b_ub if problem.a_ub is not None else None,
-        A_eq=problem.a_eq,
-        b_eq=problem.b_eq if problem.a_eq is not None else None,
-        bounds=(0, None),
-        method="highs",
-    )
-    if res.status == 2:
+    session = LpSession() if session is None else session
+    solver = session._load(problem)
+    solver.run()
+    status = solver.getModelStatus()
+    if status == highs.HighsModelStatus.kInfeasible:
         return LpSolution(status="infeasible", objective=None)
-    if res.status != 0:
-        raise LpSolverError(f"solver failure (status {res.status}): {res.message}")
-    x = res.x.tolist()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise LpSolverError(f"solver failure: {solver.modelStatusToString(status)}")
+    result = solver.getSolution()
+    x = result.col_value
+    if not _within_bounds(x, result.row_value, session._row_lower, session._row_upper):
+        raise LpSolverError(
+            f"solver reported an optimum outside the bounds by more than {_ACCEPT_TOL:.2e}"
+        )
     return LpSolution(
         status="optimal",
-        objective=float(res.fun),
+        objective=solver.getInfo().objective_function_value,
         x_flows={key: x[col] for key, col in problem.x_index.items()},
         buffers={key: x[col] for key, col in problem.b_index.items()},
         slacks={k: x[col] for k, col in problem.slack_index.items()},

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from cgrlab import experiments
 from cgrlab.contact_plan import StateGrid, TopologyConfig
 from cgrlab.experiments import (
     CellResult,
@@ -227,3 +228,19 @@ def test_write_outputs_round_trip(tmp_path):
 def test_parallel_sweep_matches_serial():
     cfg = study_config(seeds=(1, 2, 3), loads=(1,), schemes=("DELTIME", "LP"))
     assert run_sweep(cfg, jobs=2).raw_csv() == run_sweep(cfg, jobs=1).raw_csv()
+
+
+def test_failed_cell_keeps_its_row_and_prints_the_traceback(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(experiments, "run_simulation", broken)
+    result = run_sweep(study_config(seeds=(1,), loads=(2,)))
+    row = result.cell(1, 2, "HOPS")
+    assert (row.status, row.error) == ("error", "RuntimeError: boom")
+    assert result.cell(1, 2, "LP").status == "ok"
+    assert "RuntimeError: boom" in result.raw_csv()
+    err = capsys.readouterr().err
+    assert "cell seed=1 load=2 scheme=HOPS failed:" in err
+    assert "Traceback (most recent call last)" in err
+    assert 'raise RuntimeError("boom")' in err

@@ -19,6 +19,8 @@ from cgrlab.contact_plan import (
 )
 from cgrlab.lp_oracle import (
     Commodity,
+    LpSession,
+    _within_bounds,
     build_lp,
     demands_to_commodities,
     lp_metrics,
@@ -616,3 +618,69 @@ def test_model_layout_is_pinned(name):
     inputs, soft, expected = PINNED_MODELS[name]
     plan, commodities = inputs()
     assert _model_digests(build_lp(plan, commodities, soft=soft)) == expected
+
+
+def test_session_matches_fresh_solves_from_feasible_to_infeasible_and_back():
+    # Study seed 14's hard LP is feasible at loads 1-2 and infeasible from
+    # load 3 on, so this order crosses the boundary both ways, repeatedly.
+    session = LpSession()
+    statuses, solvers = [], []
+    for load in (1, 3, 2, 5, 1, 4, 2):
+        plan, commodities = _study_inputs(14, load, "burst")
+        problem = build_lp(plan, commodities)
+        warm = solve_lp(problem, session)
+        solvers.append(session._highs)
+        cold = solve_lp(problem)
+        assert warm.status == cold.status
+        statuses.append(warm.status)
+        if warm.status == "optimal":
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+            assert verify_solution(problem, warm, TOL) == []
+    assert statuses == ["optimal", "infeasible"] * 3 + ["optimal"]
+    # Only the right-hand sides changed, so every load reused one model.
+    assert all(solver is solvers[0] for solver in solvers)
+
+
+def _rewired(plan):
+    """The plan with its first contact pointed at another receiver: the
+    same windows and capacities, so the same objective and row count."""
+    first, *rest = plan.contacts
+    to_node = next(v for v in sorted(plan.node_ids) if v not in (first.from_node, first.to_node))
+    return ContactPlan(plan.grid, list(plan.nodes), [dataclasses.replace(first, to_node=to_node), *rest])
+
+
+@pytest.mark.parametrize("change", ["plan", "rewired", "classes", "soft", "weights"])
+def test_session_rebuilds_on_a_new_structure_and_gives_the_cold_answer(change):
+    plan, commodities = _study_inputs(1, 3, "burst")
+    session = LpSession()
+    solve_lp(build_lp(plan, commodities), session)
+    weight = None
+    if change == "plan":
+        plan, commodities = _study_inputs(2, 3, "burst")
+    elif change == "rewired":
+        plan = _rewired(plan)
+    elif change == "classes":
+        commodities = commodities[:1]
+    elif change == "weights":
+        weight = power_weights(2.0)
+    problem = build_lp(plan, commodities, weight, soft=change == "soft")
+    assert solve_lp(problem, session) == solve_lp(problem)
+
+
+def test_solve_without_a_session_does_not_depend_on_earlier_calls():
+    problem = build_lp(*_study_inputs(1, 3, "burst"))
+    first = solve_lp(problem)
+    for load in (1, 5):
+        solve_lp(build_lp(*_study_inputs(1, load, "burst")))
+    assert solve_lp(problem) == first
+
+
+def test_an_optimum_outside_its_bounds_is_rejected():
+    lower, upper = np.array([1.0, -np.inf]), np.array([1.0, 4.0])
+    assert _within_bounds([0.0, 2.0], [1.0, 4.0], lower, upper)
+    assert _within_bounds([-1e-5, 2.0], [1.0 + 1e-5, 4.0 + 1e-5], lower, upper)
+    assert not _within_bounds([-1e-3, 2.0], [1.0, 4.0], lower, upper)
+    assert not _within_bounds([0.0, 2.0], [1.001, 4.0], lower, upper)
+    assert not _within_bounds([0.0, 2.0], [1.0, 4.001], lower, upper)
+    assert not _within_bounds([0.0, math.nan], [1.0, 4.0], lower, upper)
+    assert not _within_bounds([0.0, 2.0], [math.nan, 4.0], lower, upper)

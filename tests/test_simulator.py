@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from cgrlab.contact_plan import Contact, ContactPlan
+from cgrlab.contact_graph import build_route_table
+from cgrlab.contact_plan import Contact, ContactPlan, parse_contact_plan
 from cgrlab.forwarding import Policy
 from cgrlab.simulator import (
+    OUTCOMES,
     Demand,
     compute_metrics,
     demands_from_json,
@@ -176,3 +178,23 @@ def test_demand_json_rejects_malformed():
         demands_from_json('{"src": 1}')
     with pytest.raises(ValueError):
         demands_from_json('[{"dst": 3}]')
+
+
+def test_packets_left_on_an_ended_contact_return_to_the_store():
+    # Tables built at t = 10 schedule contact 1 from state 2, its last
+    # state, but book it against its whole two-state volume. Both packets
+    # generated at t = 10 are queued on it and one is sent; the other is
+    # returned at state 3 and re-decided onto contact 2.
+    plan = parse_contact_plan(
+        "plan 4 10\nnode 1 inf\nnode 2 inf\n"
+        "contact 1 1 2 0 20 1\ncontact 2 1 2 20 30 1\n"
+    )
+    demands = [Demand(1, 2, 10.0, math.inf, 2)]
+    tables = {v: build_route_table(plan, v, 10.0, 2, {2}) for v in (1, 2)}
+    assert [r.contacts for r in tables[1].routes_for(2)] == [(1,), (2,)]
+    for policy in Policy:
+        result = run_simulation(plan, demands, policy, 2, tables)
+        first, second = result.records
+        assert (first.outcome, first.path, first.delivery_time) == ("delivered_on_time", (1,), 20.0)
+        assert (second.outcome, second.path, second.delivery_time) == ("delivered_on_time", (2,), 30.0)
+        assert result.generated() == 2 == sum(result.count(o) for o in OUTCOMES)
