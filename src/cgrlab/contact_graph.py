@@ -12,9 +12,10 @@ Every function here orders routes by the total key
     (delivery_time, hops, contact-id sequence)
 
 so results are deterministic. `earliest_delivery_route` is a label-setting
-search over contacts; `k_best_routes` layers the spur-node scheme (with
-the restriction that spurs start at or after the parent's own deviation
-point) on top of it.
+search over contacts that expands successors lazily, one sibling at a
+time, from the plan's successor lists (`ContactPlan.successors`);
+`k_best_routes` layers the spur-node scheme (with the restriction that
+spurs start at or after the parent's own deviation point) on top of it.
 """
 
 from __future__ import annotations
@@ -167,6 +168,16 @@ def earliest_delivery_route(
     its shortcut, the walk with the loop cut out, which delivers no later
     in fewer hops; so the best route is loop-free (Yen 1971; Fraire,
     De Jonckere & Burleigh 2021).
+
+    Successors are expanded lazily. The children of a label at node v
+    arriving after state a are the contacts in `plan.successors(v, a)`,
+    already in heap-key order: siblings share hops and id prefix, so
+    their keys differ only in (transmission state, last contact id). A
+    popped label pushes its next unsuppressed sibling and, unless it is
+    dominated, its own first unsuppressed child. The heap then always
+    holds the least unpopped child of every expanded label, which is the
+    least of all the children an eager expansion would have pushed; so
+    labels pop in the same order, and the result is the same.
     """
     _require_nodes(plan, source, dest)
     if source == dest:
@@ -176,32 +187,49 @@ def earliest_delivery_route(
     if source in sup_n:
         return None
 
-    windows = plan.windows
+    successors = plan.successors
     start_avail = plan.grid.first_state_starting_at_or_after(t_now) - 1
 
-    # Heap entries: (arrival_state, hops, id sequence, node). Sequences
-    # are unique per entry, so comparisons never reach the node.
-    heap: list[tuple[int, int, tuple[int, ...], int]] = [(start_avail, 0, (), source)]
+    # Heap entries: (arrival_state, hops, id sequence, node, siblings,
+    # index in siblings). Sequences are unique per entry, so comparisons
+    # never reach the node. The source's label is expanded up front: it
+    # has no siblings and nothing can dominate it.
+    heap: list[_Label] = []
+    _push_next(heap, successors(source, start_avail), 0, 1, (), sup_c, sup_n)
     settled: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
 
     while heap:
-        avail, hops, seq, node = heapq.heappop(heap)
+        avail, hops, seq, node, siblings, i = heapq.heappop(heap)
         if node == dest:
             return route_attributes(plan, list(seq), t_now)
-        if seq:
-            prior = settled.setdefault(seq[-1], [])
-            if any(a <= avail and h <= hops and s <= seq for a, h, s in prior):
-                continue
-            prior.append((avail, hops, seq))
-        for c in plan.contacts_from(node):
-            if c.contact_id in sup_c or c.to_node in sup_n:
-                continue
-            first, last = windows[c.contact_id]
-            if last <= avail:
-                continue
-            q = max(avail + 1, first)
-            heapq.heappush(heap, (q, hops + 1, seq + (c.contact_id,), c.to_node))
+        _push_next(heap, siblings, i + 1, hops, seq[:-1], sup_c, sup_n)
+        prior = settled.setdefault(seq[-1], [])
+        if any(a <= avail and h <= hops and s <= seq for a, h, s in prior):
+            continue
+        prior.append((avail, hops, seq))
+        _push_next(heap, successors(node, avail), 0, hops + 1, seq, sup_c, sup_n)
     return None
+
+
+_Label = tuple[int, int, tuple[int, ...], int, list[tuple[int, int, int]], int]
+
+
+def _push_next(
+    heap: list[_Label],
+    siblings: list[tuple[int, int, int]],
+    i: int,
+    hops: int,
+    prefix: tuple[int, ...],
+    sup_c: frozenset[int],
+    sup_n: frozenset[int],
+) -> None:
+    """Push the first label of siblings[i:] whose contact and receiving
+    node are not suppressed, extending prefix; push nothing if none is."""
+    for j in range(i, len(siblings)):
+        q, cid, to_node = siblings[j]
+        if cid not in sup_c and to_node not in sup_n:
+            heapq.heappush(heap, (q, hops, prefix + (cid,), to_node, siblings, j))
+            return
 
 
 def k_best_routes(

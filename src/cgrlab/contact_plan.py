@@ -16,9 +16,10 @@ Canonical serialization sorts nodes by id and contacts by (start, id).
 
 Contacts keep their times in seconds, as written. Every layer that works
 in states reads the plan's integer view instead: `ContactPlan.windows`
-(each contact's first and last covered state), `ContactPlan.volumes` and
-`ContactPlan.state_contacts`. The plan derives them from the grid once,
-on first use, so no layer re-derives a state index from a time.
+(each contact's first and last covered state), `ContactPlan.volumes`,
+`ContactPlan.state_contacts`, `ContactPlan.arcs` and
+`ContactPlan.successors`. The plan derives them from the grid once, on
+first use, so no layer re-derives a state index from a time.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "StateGrid",
     "Contact",
     "Window",
+    "Arc",
     "NodeSpec",
     "ContactPlan",
     "TopologyConfig",
@@ -170,6 +172,16 @@ class Window(NamedTuple):
         return range(self.first, self.last + 1)
 
 
+class Arc(NamedTuple):
+    """One contact in one of the states it covers."""
+
+    contact_id: int
+    state: int
+    from_node: int
+    to_node: int
+    capacity: int
+
+
 @dataclass(frozen=True)
 class NodeSpec:
     """A network node and its storage capacity (math.inf = unbounded)."""
@@ -185,11 +197,12 @@ class ContactPlan:
     Normalization sorts nodes by id and contacts by (start, contact_id).
     Instances are treated as immutable values once constructed.
 
-    The plan's integer view of time lives here: `windows`, `volumes` and
-    `state_contacts` are computed from the grid once per plan, on first
-    use, and every layer reads them instead of converting contact times
-    to states itself. Plans that are never routed, simulated or solved
-    (such as a generated plan that is only serialized) never compute them.
+    The plan's integer view of time lives here: `windows`, `volumes`,
+    `state_contacts`, `arcs` and the `successors` lists are computed from
+    the grid once per plan, on first use, and every layer reads them
+    instead of converting contact times to states itself. Plans that are
+    never routed, simulated or solved (such as a generated plan that is
+    only serialized) never compute them.
     """
 
     grid: StateGrid
@@ -198,6 +211,9 @@ class ContactPlan:
 
     _by_id: dict[int, Contact] = field(init=False, repr=False, compare=False)
     _outgoing: dict[int, list[Contact]] = field(init=False, repr=False, compare=False)
+    _successors: dict[tuple[int, int], list[tuple[int, int, int]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.nodes = sorted(self.nodes, key=lambda n: n.node_id)
@@ -206,6 +222,7 @@ class ContactPlan:
         self._outgoing = {n.node_id: [] for n in self.nodes}
         for c in self.contacts:
             self._outgoing.setdefault(c.from_node, []).append(c)
+        self._successors = {}
 
     @property
     def node_ids(self) -> set[int]:
@@ -217,8 +234,25 @@ class ContactPlan:
         except KeyError:
             raise KeyError(f"unknown contact {contact_id}") from None
 
-    def contacts_from(self, node_id: int) -> list[Contact]:
-        return self._outgoing.get(node_id, [])
+    def successors(self, node_id: int, avail: int) -> list[tuple[int, int, int]]:
+        """The contacts from node_id that traffic available after state
+        avail can still take, as (q, contact_id, to_node) sorted ascending.
+
+        q = max(avail + 1, first) is the state the contact would transmit
+        in; contacts whose window ends by avail are left out. Each list is
+        built on first use and kept for the plan's lifetime.
+        """
+        key = (node_id, avail)
+        found = self._successors.get(key)
+        if found is None:
+            windows = self.windows
+            found = sorted(
+                (max(avail + 1, w.first), c.contact_id, c.to_node)
+                for c in self._outgoing.get(node_id, ())
+                if (w := windows[c.contact_id]).last > avail
+            )
+            self._successors[key] = found
+        return found
 
     @cached_property
     def windows(self) -> dict[int, Window]:
@@ -249,6 +283,18 @@ class ContactPlan:
             for q in windows[c.contact_id].states:
                 by_state[q].append(c)
         return by_state
+
+    @cached_property
+    def arcs(self) -> list[Arc]:
+        """Every contact in every state it covers, ordered by (state,
+        contact_id)."""
+        windows = self.windows
+        return sorted(
+            (Arc(c.contact_id, q, c.from_node, c.to_node, c.capacity)
+             for c in self.contacts
+             for q in windows[c.contact_id].states),
+            key=lambda a: (a.state, a.contact_id),
+        )
 
 
 @dataclass(frozen=True)

@@ -171,17 +171,6 @@ class Commodity:
         return self.t_gen + self.ttl
 
 
-@dataclass(frozen=True)
-class _Arc:
-    """One contact in one covered state."""
-
-    contact_id: int
-    state: int
-    from_node: int
-    to_node: int
-    capacity: int
-
-
 @dataclass(eq=False)
 class LpProblem:
     """Assembled model: variable index maps, sparse rows, and row tags.
@@ -305,17 +294,6 @@ def demands_to_commodities(demands: list[Demand]) -> list[Commodity]:
     ]
 
 
-def _plan_arcs(plan: ContactPlan) -> list[_Arc]:
-    windows = plan.windows
-    arcs = [
-        _Arc(c.contact_id, q, c.from_node, c.to_node, c.capacity)
-        for c in plan.contacts
-        for q in windows[c.contact_id].states
-    ]
-    arcs.sort(key=lambda a: (a.state, a.contact_id))
-    return arcs
-
-
 def _generation_index(plan: ContactPlan, com: Commodity) -> int:
     idx = plan.grid.boundary_index(com.t_gen)
     if idx is None or idx >= plan.grid.state_count:
@@ -374,7 +352,7 @@ def build_lp(
     node_ids = sorted(known)
     n_nodes, n_coms = len(node_ids), len(coms)
     pos = {v: i for i, v in enumerate(node_ids)}
-    arcs = _plan_arcs(plan)
+    arcs = plan.arcs
 
     # Node positions are -1 for arc endpoints the plan does not declare:
     # such an arc has no balance row at that end.
@@ -661,7 +639,7 @@ def verify_solution(
     f = plan.grid.state_count
     coms = problem.commodities
     node_ids = sorted(plan.node_ids)
-    arc_at = {(a.contact_id, a.state): a for a in _plan_arcs(plan)}
+    arc_at = {(a.contact_id, a.state): a for a in plan.arcs}
     gens = [_generation_index(plan, com) for com in coms]
 
     X = solution.x_flows

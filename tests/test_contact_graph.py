@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -6,12 +7,21 @@ import pytest
 from cgrlab.contact_graph import (
     RouteError,
     build_route_table,
+    build_route_tables,
     earliest_delivery_route,
     k_best_routes,
     route_attributes,
     route_table_csv,
 )
-from cgrlab.contact_plan import Contact, ContactPlan, NodeSpec, StateGrid, parse_contact_plan
+from cgrlab.contact_plan import (
+    Contact,
+    ContactPlan,
+    NodeSpec,
+    StateGrid,
+    TopologyConfig,
+    generate_random_topology,
+    parse_contact_plan,
+)
 
 from conftest import random_small_plan
 from oracles import enumerate_routes
@@ -227,3 +237,104 @@ def test_routes_never_revisit_nodes_and_schedule_increases():
                 assert q <= last
                 avail = q
             assert grid.state_end(avail) == r.delivery_time
+
+
+def test_earliest_route_with_suppressions_matches_enumeration_after_t0():
+    # Successor lists keyed by a start state other than 0: t_now on a state
+    # boundary and in the middle of a state.
+    for seed in range(80):
+        rng = random.Random(5000 + seed)
+        plan = random_small_plan(rng, 12)
+        nodes = sorted(plan.node_ids)
+        src, dst = nodes[0], nodes[-1]
+        duration = plan.grid.state_duration
+        cids = [c.contact_id for c in plan.contacts]
+        sup_c = set(rng.sample(cids, min(2, len(cids))))
+        middle = [n for n in nodes if n not in (src, dst)]
+        sup_n = set(rng.sample(middle, min(1, len(middle))))
+        for t_now in (0.5 * duration, duration, 1.5 * duration):
+            expected = enumerate_routes(plan, src, dst, t_now, sup_c, sup_n)
+            got = earliest_delivery_route(plan, src, dst, t_now, sup_c, sup_n)
+            if not expected:
+                assert got is None
+            else:
+                assert got.contacts == expected[0][2]
+                assert got.delivery_time == pytest.approx(expected[0][0])
+
+
+def test_k_best_matches_enumeration_after_t0():
+    for seed, max_contacts in itertools.product(range(60), (8, 16)):
+        rng = random.Random(6000 + seed)
+        plan = random_small_plan(rng, max_contacts)
+        nodes = sorted(plan.node_ids)
+        src, dst = nodes[0], nodes[-1]
+        duration = plan.grid.state_duration
+        for t_now in (0.5 * duration, duration, 2.5 * duration):
+            expected = enumerate_routes(plan, src, dst, t_now)
+            for k in (1, 4, 6):
+                got = k_best_routes(plan, src, dst, t_now, k)
+                assert [r.contacts for r in got] == [ids for _, _, ids in expected[:k]]
+                assert [r.delivery_time for r in got] == pytest.approx(
+                    [d for d, _, _ in expected[:k]]
+                )
+
+
+def test_interleaved_searches_on_plans_differing_in_one_window():
+    # Each plan keeps its own successor lists: searches alternating between
+    # two plans that differ only in one contact's window must each see
+    # their own plan.
+    differing = 0
+    for seed in range(60):
+        rng = random.Random(7000 + seed)
+        base = random_small_plan(rng, 12)
+        if not base.contacts:
+            continue
+        grid = base.grid
+        moved = rng.choice(base.contacts)
+        q1 = rng.randint(1, grid.state_count)
+        q2 = rng.randint(q1, grid.state_count)
+        other = ContactPlan(
+            grid,
+            list(base.nodes),
+            [
+                Contact(c.contact_id, c.from_node, c.to_node, grid.state_start(q1),
+                        grid.state_end(q2), c.capacity)
+                if c is moved else c
+                for c in base.contacts
+            ],
+        )
+        pairs = list(itertools.permutations(sorted(base.node_ids), 2))
+        for t_now in (0.0, grid.state_duration):
+            answers = {}
+            for plan in (base, other, base, other):
+                for src, dst in pairs:
+                    got = [r.contacts for r in k_best_routes(plan, src, dst, t_now, 4)]
+                    expected = enumerate_routes(plan, src, dst, t_now)[:4]
+                    assert got == [ids for _, _, ids in expected]
+                    answers[id(plan), src, dst] = got
+            differing += sum(
+                answers[id(base), src, dst] != answers[id(other), src, dst] for src, dst in pairs
+            )
+    assert differing > 0
+
+
+# sha256 over the route_table_csv of every owner, in owner order, taken
+# before the route search expanded its successors lazily.
+PINNED_TABLES = {
+    (11, 10, 1): "7f5b828b1270289d8fbb7674511543c2adf017cd90f16ff58d328553d850c0ce",
+    (11, 10, 2): "717ba170522574c75f59d017a35233b0121ebb60e4bd4850cf0c3222c06dadfc",
+    (11, 10, 3): "d68ffc91058ddeae95402990444d6fe6f5a4ce1464488845f06eef95608fc6a7",
+    (20, 20, 1): "0d1f5cc0e2a959aec60132b6e5c73257d1b5e4d737f2377da5e64298f2e2e622",
+}
+
+
+@pytest.mark.parametrize("nodes,states,seed", sorted(PINNED_TABLES))
+def test_route_tables_are_pinned(nodes, states, seed):
+    # The study's topology at this size: density 0.2, capacity 10, 10 s
+    # states, destination the highest node, k = 4.
+    plan = generate_random_topology(
+        TopologyConfig(nodes, 0.2, 10, StateGrid(states, 10.0), seed)
+    )
+    tables = build_route_tables(plan, 4, {nodes})
+    text = "".join(route_table_csv(tables[owner]) for owner in sorted(tables))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TABLES[(nodes, states, seed)]

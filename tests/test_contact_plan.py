@@ -252,6 +252,18 @@ def test_windows_are_the_grid_boundaries_of_each_contact(plan):
         assert plan.state_contacts[q] == [
             c for c in plan.contacts if q in plan.windows[c.contact_id].states
         ]
+    assert [(a.state, a.contact_id) for a in plan.arcs] == sorted(
+        (q, c.contact_id) for c in plan.contacts for q in plan.windows[c.contact_id].states
+    )
+    for node in plan.node_ids:
+        for avail in range(-1, grid.state_count + 1):
+            expected = []
+            for c in plan.contacts:
+                first, last = plan.windows[c.contact_id]
+                if c.from_node == node and last > avail:
+                    expected.append((max(avail + 1, first), c.contact_id, c.to_node))
+            assert plan.successors(node, avail) == sorted(expected)
+            assert plan.successors(node, avail) is plan.successors(node, avail)
 
 
 # Numbers at the edges of float range, which must parse or be rejected
