@@ -39,7 +39,6 @@ def main() -> int:
                         default=[(11, 10), (20, 20), (30, 30), (40, 40)],
                         help="plan sizes as NODESxSTATES")
     parser.add_argument("--seeds", type=int, default=5, help="plans per size (seeds 1..N)")
-    parser.add_argument("-k", "--k-routes", type=int, default=4)
     args = parser.parse_args()
     if args.seeds < 1:
         parser.error("--seeds must be >= 1")
@@ -52,7 +51,7 @@ def main() -> int:
                 TopologyConfig(nodes, 0.2, 10, StateGrid(states, 10.0), seed)
             )
             t0 = time.perf_counter()
-            build_route_tables(plan, args.k_routes, {nodes})
+            build_route_tables(plan, 4, {nodes})
             times.append(time.perf_counter() - t0)
             contacts.append(len(plan.contacts))
         print(

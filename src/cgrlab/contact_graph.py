@@ -211,12 +211,12 @@ def earliest_delivery_route(
     return None
 
 
-_Label = tuple[int, int, tuple[int, ...], int, list[tuple[int, int, int]], int]
+_Label = tuple[int, int, tuple[int, ...], int, tuple[tuple[int, int, int], ...], int]
 
 
 def _push_next(
     heap: list[_Label],
-    siblings: list[tuple[int, int, int]],
+    siblings: tuple[tuple[int, int, int], ...],
     i: int,
     hops: int,
     prefix: tuple[int, ...],

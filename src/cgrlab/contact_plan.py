@@ -35,7 +35,6 @@ __all__ = [
     "StateGrid",
     "Contact",
     "Window",
-    "Arc",
     "NodeSpec",
     "ContactPlan",
     "TopologyConfig",
@@ -211,7 +210,7 @@ class ContactPlan:
 
     _by_id: dict[int, Contact] = field(init=False, repr=False, compare=False)
     _outgoing: dict[int, list[Contact]] = field(init=False, repr=False, compare=False)
-    _successors: dict[tuple[int, int], list[tuple[int, int, int]]] = field(
+    _successors: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = field(
         init=False, repr=False, compare=False
     )
 
@@ -234,23 +233,23 @@ class ContactPlan:
         except KeyError:
             raise KeyError(f"unknown contact {contact_id}") from None
 
-    def successors(self, node_id: int, avail: int) -> list[tuple[int, int, int]]:
+    def successors(self, node_id: int, avail: int) -> tuple[tuple[int, int, int], ...]:
         """The contacts from node_id that traffic available after state
         avail can still take, as (q, contact_id, to_node) sorted ascending.
 
         q = max(avail + 1, first) is the state the contact would transmit
-        in; contacts whose window ends by avail are left out. Each list is
+        in; contacts whose window ends by avail are left out. Each tuple is
         built on first use and kept for the plan's lifetime.
         """
         key = (node_id, avail)
         found = self._successors.get(key)
         if found is None:
             windows = self.windows
-            found = sorted(
+            found = tuple(sorted(
                 (max(avail + 1, w.first), c.contact_id, c.to_node)
                 for c in self._outgoing.get(node_id, ())
                 if (w := windows[c.contact_id]).last > avail
-            )
+            ))
             self._successors[key] = found
         return found
 

@@ -184,13 +184,17 @@ def test_earliest_route_with_suppressions_matches_enumeration():
         sup_c = set(rng.sample(cids, min(2, len(cids))))
         middle = [n for n in nodes if n not in (src, dst)]
         sup_n = set(rng.sample(middle, min(1, len(middle))))
-        expected = enumerate_routes(plan, src, dst, 0.0, sup_c, sup_n)
-        got = earliest_delivery_route(plan, src, dst, 0.0, sup_c, sup_n)
-        if not expected:
-            assert got is None
-        else:
-            assert got.contacts == expected[0][2]
-            assert not set(got.contacts) & sup_c
+        # Start states other than 0, on a state boundary and mid-state.
+        d = plan.grid.state_duration
+        for t_now in (0.0, 0.5 * d, d, 1.5 * d):
+            expected = enumerate_routes(plan, src, dst, t_now, sup_c, sup_n)
+            got = earliest_delivery_route(plan, src, dst, t_now, sup_c, sup_n)
+            if not expected:
+                assert got is None
+            else:
+                assert got.contacts == expected[0][2]
+                assert got.delivery_time == pytest.approx(expected[0][0])
+                assert not set(got.contacts) & sup_c
 
 
 def test_k_best_matches_enumeration_on_seeded_plans():
@@ -199,13 +203,15 @@ def test_k_best_matches_enumeration_on_seeded_plans():
         plan = random_small_plan(rng, max_contacts)
         nodes = sorted(plan.node_ids)
         src, dst = nodes[0], nodes[-1]
-        expected = enumerate_routes(plan, src, dst, 0.0)
-        for k in (1, 4, 6):
-            got = k_best_routes(plan, src, dst, 0.0, k)
-            assert [r.contacts for r in got] == [ids for _, _, ids in expected[:k]]
-            assert [r.delivery_time for r in got] == pytest.approx(
-                [d for d, _, _ in expected[:k]]
-            )
+        d = plan.grid.state_duration
+        for t_now in (0.0, 0.5 * d, d, 2.5 * d):
+            expected = enumerate_routes(plan, src, dst, t_now)
+            for k in (1, 4, 6):
+                got = k_best_routes(plan, src, dst, t_now, k)
+                assert [r.contacts for r in got] == [ids for _, _, ids in expected[:k]]
+                assert [r.delivery_time for r in got] == pytest.approx(
+                    [t for t, _, _ in expected[:k]]
+                )
 
 
 def test_k_best_prefix_property():
@@ -237,46 +243,6 @@ def test_routes_never_revisit_nodes_and_schedule_increases():
                 assert q <= last
                 avail = q
             assert grid.state_end(avail) == r.delivery_time
-
-
-def test_earliest_route_with_suppressions_matches_enumeration_after_t0():
-    # Successor lists keyed by a start state other than 0: t_now on a state
-    # boundary and in the middle of a state.
-    for seed in range(80):
-        rng = random.Random(5000 + seed)
-        plan = random_small_plan(rng, 12)
-        nodes = sorted(plan.node_ids)
-        src, dst = nodes[0], nodes[-1]
-        duration = plan.grid.state_duration
-        cids = [c.contact_id for c in plan.contacts]
-        sup_c = set(rng.sample(cids, min(2, len(cids))))
-        middle = [n for n in nodes if n not in (src, dst)]
-        sup_n = set(rng.sample(middle, min(1, len(middle))))
-        for t_now in (0.5 * duration, duration, 1.5 * duration):
-            expected = enumerate_routes(plan, src, dst, t_now, sup_c, sup_n)
-            got = earliest_delivery_route(plan, src, dst, t_now, sup_c, sup_n)
-            if not expected:
-                assert got is None
-            else:
-                assert got.contacts == expected[0][2]
-                assert got.delivery_time == pytest.approx(expected[0][0])
-
-
-def test_k_best_matches_enumeration_after_t0():
-    for seed, max_contacts in itertools.product(range(60), (8, 16)):
-        rng = random.Random(6000 + seed)
-        plan = random_small_plan(rng, max_contacts)
-        nodes = sorted(plan.node_ids)
-        src, dst = nodes[0], nodes[-1]
-        duration = plan.grid.state_duration
-        for t_now in (0.5 * duration, duration, 2.5 * duration):
-            expected = enumerate_routes(plan, src, dst, t_now)
-            for k in (1, 4, 6):
-                got = k_best_routes(plan, src, dst, t_now, k)
-                assert [r.contacts for r in got] == [ids for _, _, ids in expected[:k]]
-                assert [r.delivery_time for r in got] == pytest.approx(
-                    [d for d, _, _ in expected[:k]]
-                )
 
 
 def test_interleaved_searches_on_plans_differing_in_one_window():

@@ -262,7 +262,7 @@ def test_windows_are_the_grid_boundaries_of_each_contact(plan):
                 first, last = plan.windows[c.contact_id]
                 if c.from_node == node and last > avail:
                     expected.append((max(avail + 1, first), c.contact_id, c.to_node))
-            assert plan.successors(node, avail) == sorted(expected)
+            assert plan.successors(node, avail) == tuple(sorted(expected))
             assert plan.successors(node, avail) is plan.successors(node, avail)
 
 
