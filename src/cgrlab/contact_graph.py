@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .contact_plan import ContactPlan
+from .contact_plan import ContactPlan, StateGrid
 
 __all__ = [
     "Route",
@@ -71,10 +71,12 @@ class Route:
 
 @dataclass
 class RouteTable:
-    """Per-destination route lists computed by one node from the shared plan."""
+    """Per-destination route lists computed by one node from the shared
+    plan, with the plan's grid, on which every route time lies."""
 
     owner: int
     k_routes: int
+    grid: StateGrid
     routes: dict[int, list[Route]] = field(default_factory=dict)
 
     def routes_for(self, destination: int) -> list[Route]:
@@ -313,7 +315,7 @@ def build_route_table(
 ) -> RouteTable:
     """Compute the owner's k-best route lists toward each destination."""
     _require_nodes(plan, owner, *destinations)
-    table = RouteTable(owner=owner, k_routes=k_routes)
+    table = RouteTable(owner=owner, k_routes=k_routes, grid=plan.grid)
     for dest in sorted(destinations):
         if dest == owner:
             table.routes[dest] = []

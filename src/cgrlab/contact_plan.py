@@ -17,9 +17,9 @@ Canonical serialization sorts nodes by id and contacts by (start, id).
 Contacts keep their times in seconds, as written. Every layer that works
 in states reads the plan's integer view instead: `ContactPlan.windows`
 (each contact's first and last covered state), `ContactPlan.volumes`,
-`ContactPlan.state_contacts`, `ContactPlan.arcs` and
-`ContactPlan.successors`. The plan derives them from the grid once, on
-first use, so no layer re-derives a state index from a time.
+`ContactPlan.ranks`, `ContactPlan.arcs` and `ContactPlan.successors`. The
+plan derives them from the grid once, on first use, so no layer re-derives
+a state index from a time.
 """
 
 from __future__ import annotations
@@ -197,11 +197,12 @@ class ContactPlan:
     Instances are treated as immutable values once constructed.
 
     The plan's integer view of time lives here: `windows`, `volumes`,
-    `state_contacts`, `arcs` and the `successors` lists are computed from
-    the grid once per plan, on first use, and every layer reads them
-    instead of converting contact times to states itself. Plans that are
-    never routed, simulated or solved (such as a generated plan that is
-    only serialized) never compute them.
+    `ranks`, `arcs` and the `successors` lists are computed from the grid
+    once per plan, on first use, and every layer reads them instead of
+    converting contact times to states itself. Plans that are never
+    routed, simulated or solved (such as a generated plan that is only
+    serialized) never compute them. The LP keeps its model layouts on the
+    plan too, one per class set (`lp_oracle.build_lp`).
     """
 
     grid: StateGrid
@@ -213,6 +214,7 @@ class ContactPlan:
     _successors: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = field(
         init=False, repr=False, compare=False
     )
+    _lp_layouts: dict[tuple, object] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.nodes = sorted(self.nodes, key=lambda n: n.node_id)
@@ -222,6 +224,7 @@ class ContactPlan:
         for c in self.contacts:
             self._outgoing.setdefault(c.from_node, []).append(c)
         self._successors = {}
+        self._lp_layouts = {}
 
     @property
     def node_ids(self) -> set[int]:
@@ -273,15 +276,10 @@ class ContactPlan:
         }
 
     @cached_property
-    def state_contacts(self) -> list[list[Contact]]:
-        """The contacts active in each state q (index q; index 0 is empty),
-        in plan order."""
-        by_state: list[list[Contact]] = [[] for _ in range(self.grid.state_count + 1)]
-        windows = self.windows
-        for c in self.contacts:
-            for q in windows[c.contact_id].states:
-                by_state[q].append(c)
-        return by_state
+    def ranks(self) -> dict[int, int]:
+        """Each contact's position in plan order, (start, contact_id), by
+        contact id."""
+        return {c.contact_id: i for i, c in enumerate(self.contacts)}
 
     @cached_property
     def arcs(self) -> list[Arc]:

@@ -92,8 +92,13 @@ def filter_routes(
 
     A route survives when it has not expired, its scheduled first-hop
     departure has not already passed, every contact still has bookable
-    volume, and it delivers within the packet's deadline.
+    volume, and it delivers within the packet's deadline, read on the
+    table's grid: by the end of the last state that ends at or before the
+    deadline (`StateGrid.floor_boundary_index`), the rule the simulator
+    and the LP bound apply too.
     """
+    grid = table.grid
+    cutoff = grid.state_end(grid.floor_boundary_index(pkt.deadline))
     out = []
     for r in table.routes_for(pkt.dst):
         if r.expiration <= t_now:
@@ -102,7 +107,7 @@ def filter_routes(
             continue
         if any(ledger.residual(cid) < 1 for cid in r.contacts):
             continue
-        if r.delivery_time > pkt.deadline:
+        if r.delivery_time > cutoff:
             continue
         out.append(r)
     return out

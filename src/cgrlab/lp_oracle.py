@@ -57,6 +57,14 @@ counts on flow conserving mass, which fails when a contact joins a node
 the plan does not declare (such an arc end has no balance row); the
 parser rejects such plans, but a plan built directly can hold them.
 
+A model's layout -- index maps, objective, matrices and the rows that
+take the supplies -- depends on the plan, the state weights, the soft
+flag and the class set (each class's destination, generation time, ttl
+and source nodes), but not on the amounts. `build_lp` builds one layout
+per plan and class set, keeps it on the plan, and on every call fills
+only fresh right-hand sides from the supplies. A sweep, whose loads change
+only the amounts, so builds each seed's layout once.
+
 `solve_lp` hands the model to HiGHS through the binding scipy bundles
 (`scipy.optimize._highspy`), with the rows in `a_ub`, `a_eq` order and the
 dual simplex, the settings `scipy.optimize.linprog` uses, so a cold solve
@@ -88,7 +96,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 from scipy.optimize._highspy import _core as highs
@@ -177,16 +186,19 @@ class LpProblem:
 
     Variable layout: flows X keyed by (contact_id, state, commodity index),
     buffers B keyed by (timestamp index, node, commodity index), then one
-    slack per commodity in soft mode. The variable and row names are
-    worked out on first use; only the LP text export reads them.
+    slack per commodity in soft mode. The index maps, objective and
+    matrices are shared, read-only, by every problem built on the same
+    plan with the same weights, soft flag and class set; b_eq and b_ub are
+    the problem's own. The variable and row names are worked out on first
+    use; only the LP text export reads them.
     """
 
     plan: ContactPlan
     commodities: tuple[Commodity, ...]
     soft: bool
-    x_index: dict[tuple[int, int, int], int]
-    b_index: dict[tuple[int, int, int], int]
-    slack_index: dict[int, int]
+    x_index: Mapping[tuple[int, int, int], int]
+    b_index: Mapping[tuple[int, int, int], int]
+    slack_index: Mapping[int, int]
     objective: np.ndarray
     a_eq: csr_matrix | None
     b_eq: np.ndarray
@@ -311,6 +323,27 @@ def _deadline_index(plan: ContactPlan, com: Commodity) -> int | None:
     return plan.grid.floor_boundary_index(com.deadline)
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """The part of a model fixed by the plan, the weights, the soft flag and
+    the class set (each class's dst, t_gen, ttl and source nodes): index
+    maps, objective, matrices, and where the supplies go in the
+    right-hand sides. Its arrays are read-only, since every problem built
+    from it shares them."""
+
+    x_index: Mapping[tuple[int, int, int], int]
+    b_index: Mapping[tuple[int, int, int], int]
+    slack_index: Mapping[int, int]
+    objective: np.ndarray
+    a_eq: csr_matrix | None
+    a_ub: csr_matrix | None
+    n_eq: int
+    supply_rows: np.ndarray  # init row of each (class, source), in supply order
+    fin_rows: np.ndarray  # the row holding each class's amount in fin
+    ddl_classes: np.ndarray  # the class of each ddl row; ddl rows come first in b_ub
+    b_ub: np.ndarray  # arccap and bufcap bounds, ddl rows left at zero
+
+
 def build_lp(
     plan: ContactPlan,
     commodities: list[Commodity],
@@ -325,10 +358,51 @@ def build_lp(
     generation times off the grid or at/after the horizon, and
     non-increasing weights.
 
-    Rows and columns come from integer arc x commodity arrays. Columns are
-    numbered X (arc-major, then commodity), then B (timestamp, node,
-    commodity, from each commodity's generation timestamp on), then one
-    slack per commodity in soft mode. Equality rows run per commodity:
+    Everything but the supplies is the model's layout (`_build_layout`),
+    built once per weight sequence, soft flag and class set and kept on
+    the plan (see the module docstring); each call fills fresh right-hand
+    sides. Problems from one layout share its read-only index maps,
+    objective and matrices.
+    """
+    f = plan.grid.state_count
+    weight = weight or linear_weights
+    ws = tuple(float(weight(q)) for q in range(1, f + 1))
+    coms = tuple(commodities)
+    key = (ws, soft, tuple((com.dst, com.t_gen, com.ttl, tuple(v for v, _ in com.supply))
+                           for com in coms))
+    layout = plan._lp_layouts.get(key)
+    if layout is None:
+        layout = plan._lp_layouts[key] = _build_layout(plan, coms, ws, soft)
+
+    amount = np.array([com.amount for com in coms], dtype=np.float64)
+    b_eq = np.zeros(layout.n_eq)
+    b_eq[layout.supply_rows] = [a for com in coms for _, a in com.supply]
+    b_eq[layout.fin_rows] = amount
+    b_ub = layout.b_ub.copy()
+    b_ub[: len(layout.ddl_classes)] = -amount[layout.ddl_classes]
+    return LpProblem(
+        plan=plan,
+        commodities=coms,
+        soft=soft,
+        x_index=layout.x_index,
+        b_index=layout.b_index,
+        slack_index=layout.slack_index,
+        objective=layout.objective,
+        a_eq=layout.a_eq,
+        b_eq=b_eq,
+        a_ub=layout.a_ub,
+        b_ub=b_ub,
+    )
+
+
+def _build_layout(
+    plan: ContactPlan, coms: tuple[Commodity, ...], ws: tuple[float, ...], soft: bool
+) -> _Layout:
+    """The model's layout for `build_lp`, from integer arc x class arrays.
+
+    Columns are numbered X (arc-major, then commodity), then B (timestamp,
+    node, commodity, from each commodity's generation timestamp on), then
+    one slack per commodity in soft mode. Equality rows run per commodity:
     init at its generation timestamp and bal after it, one row per
     (timestamp, node), then fin. Inequality rows are ddl per commodity,
     then arccap per arc with at least one flow variable, then bufcap per
@@ -336,13 +410,10 @@ def build_lp(
     """
     grid = plan.grid
     f = grid.state_count
-    weight = weight or linear_weights
-    ws = tuple(float(weight(q)) for q in range(1, f + 1))
     if any(w <= 0 for w in ws) or any(b <= a for a, b in zip(ws, ws[1:])):
         raise ValueError("state weights must be positive and strictly increasing")
 
     known = plan.node_ids
-    coms = tuple(commodities)
     gen_idx = []
     for com in coms:
         if com.dst not in known or any(v not in known for v, _ in com.supply):
@@ -361,7 +432,6 @@ def build_lp(
     arc_to = np.array([pos.get(a.to_node, -1) for a in arcs], dtype=np.int64)
     gen = np.array(gen_idx, dtype=np.int64)
     dst = np.array([pos[com.dst] for com in coms], dtype=np.int64)
-    amount = np.array([com.amount for com in coms], dtype=np.float64)
 
     # Deadline index per commodity, f + 1 standing in for "no deadline";
     # the window of commodity k ends at its deadline only where the module
@@ -397,8 +467,6 @@ def build_lp(
     b_cols = np.full(b_live.shape, -1, dtype=np.int64)
     b_cols[bt, bv, bk] = np.arange(n_x, s_base)
     b_keys = list(zip(bt.tolist(), np.array(node_ids)[bv].tolist(), bk.tolist()))
-    x_index = dict(zip(x_keys, range(n_x)))
-    b_index = dict(zip(b_keys, range(n_x, s_base)))
     slack_index = {k: s_base + k for k in range(n_coms)} if soft else {}
     n_vars = s_base + len(slack_index)
 
@@ -431,12 +499,8 @@ def build_lp(
         fk, fv = (a.ravel() for a in np.indices((n_coms, n_nodes)))
         eq.append((fin_row[fk] + fv, b_cols[f, fv, fk], 1.0))
     n_eq = int(per_com.sum())
-    b_eq = np.zeros(n_eq)
     sup_com = np.array([k for k, com in enumerate(coms) for _ in com.supply], dtype=np.int64)
     sup_node = np.array([pos[v] for com in coms for v, _ in com.supply], dtype=np.int64)
-    sup_amount = np.array([a for com in coms for _, a in com.supply], dtype=np.float64)
-    b_eq[first[sup_com] + sup_node] = sup_amount
-    b_eq[fin_row + (0 if soft else dst)] = amount
 
     # Inequality rows: for each commodity with a deadline, one ddl row per
     # timestamp from its deadline index to f (none for dl = f + 1); then
@@ -449,7 +513,7 @@ def build_lp(
     ub.append((ddl_row, b_cols[ddl_t, dst[ddl_com], ddl_com], -1.0))
     if soft:
         ub.append((ddl_row, s_base + ddl_com, -1.0))
-    ub_rhs = [-amount[ddl_com]]
+    ub_rhs = [np.zeros(len(ddl_row))]
     n_ub = len(ddl_row)
 
     capped = sends.any(axis=1)
@@ -467,19 +531,27 @@ def build_lp(
             ub_rhs.append(np.full(f + 1, spec.buffer_capacity))
             n_ub += f + 1
 
-    return LpProblem(
-        plan=plan,
-        commodities=coms,
-        soft=soft,
-        x_index=x_index,
-        b_index=b_index,
-        slack_index=slack_index,
+    layout = _Layout(
+        x_index=MappingProxyType(dict(zip(x_keys, range(n_x)))),
+        b_index=MappingProxyType(dict(zip(b_keys, range(n_x, s_base)))),
+        slack_index=MappingProxyType(slack_index),
         objective=objective,
         a_eq=_matrix(eq, n_eq, n_vars),
-        b_eq=b_eq,
         a_ub=_matrix(ub, n_ub, n_vars),
+        n_eq=n_eq,
+        supply_rows=first[sup_com] + sup_node,
+        fin_rows=fin_row + (0 if soft else dst),
+        ddl_classes=ddl_com,
         b_ub=np.concatenate(ub_rhs),
     )
+    for array in (layout.objective, layout.supply_rows, layout.fin_rows,
+                  layout.ddl_classes, layout.b_ub):
+        array.flags.writeable = False
+    for matrix in (layout.a_eq, layout.a_ub):
+        if matrix is not None:
+            for part in (matrix.data, matrix.indices, matrix.indptr):
+                part.flags.writeable = False
+    return layout
 
 
 def _matrix(
@@ -501,7 +573,9 @@ class LpSession:
     matrices differ from the loaded ones, is loaded into a fresh solver and
     solved cold. Otherwise only the changed row bounds are passed, and the
     dual simplex restarts from the last basis, which a change of right-hand
-    sides leaves dual feasible.
+    sides leaves dual feasible. Problems built from one layout hold the
+    very same objective and matrix objects, which settles the comparison
+    at once; others are compared array by array.
     """
 
     def __init__(self):
@@ -527,6 +601,10 @@ class LpSession:
         return self._highs
 
     def _same_structure(self, objective: np.ndarray, matrices) -> bool:
+        if objective is self._objective and all(
+            new is old for new, old in zip(matrices, self._matrices)
+        ):
+            return True
         if not np.array_equal(objective, self._objective):
             return False
         for new, old in zip(matrices, self._matrices):

@@ -9,8 +9,17 @@ The run advances one state at a time. Within a state, in this order:
    stored packet in FIFO arrival order (enqueue on the chosen route's
    first contact, or drop);
 4. each contact active in the state transmits up to its per-state
-   capacity in FIFO order; transmitted packets arrive at the receiving
-   node when the state ends and are processed in the next state.
+   capacity in FIFO order, contacts in plan order; transmitted packets
+   arrive at the receiving node when the state ends and are processed in
+   the next state. A packet delivered in state q is on time when q is at
+   or before its deadline's grid boundary (`StateGrid.floor_boundary_index`),
+   the rule route filtering and the LP bound apply too.
+
+Only contacts with queued packets are visited: the run keeps a queue per
+contact that holds packets, made when the first one is queued and dropped
+when it empties, and a state with nothing queued, stored or injected is
+skipped. So a run's cost grows with its packets and the contacts they
+use, not with the plan's size.
 
 Route tables are computed once per node at simulation start (t = 0) and
 reused for the whole run; intermediate nodes re-decide with their own
@@ -197,34 +206,36 @@ def run_simulation(
     if tables is None:
         tables = build_route_tables(plan, k_routes, destinations)
 
-    node_ids = sorted(plan.node_ids)
-    ledgers = {nid: CapacityLedger.for_plan(plan) for nid in node_ids}
-    inbox: dict[int, deque[Packet]] = {nid: deque() for nid in node_ids}
-    # Each node's queues in contact-id order, the order they return packets in.
-    queues: dict[int, dict[int, deque[Packet]]] = {nid: {} for nid in node_ids}
-    for c in sorted(plan.contacts, key=lambda contact: contact.contact_id):
-        queues[c.from_node][c.contact_id] = deque()
+    injections: dict[int, list[Demand]] = {}
+    for d, idx in zip(demands, gen_index):
+        injections.setdefault(idx + 1, []).append(d)
 
     windows = plan.windows
-    state_contacts = plan.state_contacts
+    ranks = plan.ranks
+    contact = plan.contact
+    # Ledgers are made when a node first decides; each starts full.
+    ledgers: dict[int, CapacityLedger] = {}
+    # Packets each node will decide on in the next step 3, by node.
+    inbox: dict[int, list[Packet]] = {}
+    # The contacts holding queued packets, by contact id; never empty.
+    queues: dict[int, deque[Packet]] = {}
     trackers: dict[int, _Tracker] = {}
     utilization: dict[tuple[int, int], int] = {}
     next_id = 1
 
     for q in range(1, grid.state_count + 1):
+        injected = injections.get(q)
+        if not (queues or inbox or injected):
+            continue
         t_start = grid.state_start(q)
         t_end = grid.state_end(q)
 
-        # Packets left on a contact with no state left go back to the store.
-        for nid in node_ids:
-            for cid, queue in queues[nid].items():
-                if queue and windows[cid].last < q:
-                    inbox[nid].extend(queue)
-                    queue.clear()
+        # Packets left on a contact with no state left go back to the store,
+        # each node's in contact-id order.
+        for cid in sorted(cid for cid in queues if windows[cid].last < q):
+            inbox.setdefault(contact(cid).from_node, []).extend(queues.pop(cid))
 
-        for d, idx in zip(demands, gen_index):
-            if idx != q - 1:
-                continue
+        for d in injected or ():
             for _ in range(d.count):
                 pkt = Packet(next_id, d.src, d.dst, d.t_gen, d.ttl)
                 tracker = _Tracker(pkt)
@@ -234,32 +245,42 @@ def run_simulation(
                     tracker.outcome = "delivered_on_time"
                     tracker.delivery_time = d.t_gen
                 else:
-                    inbox[d.src].append(pkt)
+                    inbox.setdefault(d.src, []).append(pkt)
 
-        for nid in node_ids:
-            box = inbox[nid]
-            while box:
-                pkt = box.popleft()
-                route = forward_or_drop(pkt, tables[nid], t_start, ledgers[nid], policy)
+        for nid in sorted(inbox):
+            table = tables[nid]
+            ledger = ledgers.get(nid)
+            if ledger is None:
+                ledger = ledgers[nid] = CapacityLedger.for_plan(plan)
+            for pkt in inbox[nid]:
+                route = forward_or_drop(pkt, table, t_start, ledger, policy)
                 if route is None:
                     trackers[pkt.packet_id].outcome = "dropped"
                 else:
-                    queues[nid][route.contacts[0]].append(pkt)
+                    queues.setdefault(route.contacts[0], deque()).append(pkt)
+        inbox.clear()
 
-        for c in state_contacts[q]:
-            queue = queues[c.from_node][c.contact_id]
-            for _ in range(min(c.capacity, len(queue))):
+        active = [cid for cid in queues if windows[cid].first <= q <= windows[cid].last]
+        for cid in sorted(active, key=ranks.__getitem__):
+            c = contact(cid)
+            queue = queues[cid]
+            sent = min(c.capacity, len(queue))
+            if not sent:
+                continue
+            utilization[(cid, q)] = sent
+            for _ in range(sent):
                 pkt = queue.popleft()
                 tracker = trackers[pkt.packet_id]
                 tracker.transmissions += 1
-                tracker.path.append(c.contact_id)
-                utilization[(c.contact_id, q)] = utilization.get((c.contact_id, q), 0) + 1
+                tracker.path.append(cid)
                 if c.to_node == pkt.dst:
-                    on_time = t_end <= pkt.deadline
+                    on_time = q <= grid.floor_boundary_index(pkt.deadline)
                     tracker.outcome = "delivered_on_time" if on_time else "delivered_late"
                     tracker.delivery_time = t_end
                 else:
-                    inbox[c.to_node].append(pkt)
+                    inbox.setdefault(c.to_node, []).append(pkt)
+            if not queue:
+                del queues[cid]
 
     for tracker in trackers.values():
         if tracker.outcome is None:

@@ -11,18 +11,28 @@ Routes may not revisit a node.
 plain dicts, with no per-commodity windows: a flow variable for every arc
 and commodity (bar the structural no-early-send and dest-no-reemit rules)
 and a buffer variable for every timestamp.
+
+`dense_simulation` is the simulator's state loop before it visited only
+queued contacts: every state is stepped, every node's queues are scanned
+for returns, and every contact active in a state is visited in plan order.
+Its on-time test is the grid rule the simulator applies: delivered in a
+state at or before the deadline's `floor_boundary_index`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
+from cgrlab.contact_graph import RouteTable, build_route_tables
 from cgrlab.contact_plan import Contact, ContactPlan
+from cgrlab.forwarding import CapacityLedger, Packet, Policy, forward_or_drop
 from cgrlab.lp_oracle import Commodity, LpSolution
+from cgrlab.simulator import Demand, PacketRecord, SimResult
 
 RouteKey = tuple[float, int, tuple[int, ...]]
 
@@ -157,3 +167,113 @@ def solve_full_lp(plan: ContactPlan, commodities: list[Commodity], soft: bool) -
         buffers={var[1:]: x for var, x in values.items() if var[0] == "B"},
         slacks={var[1]: x for var, x in values.items() if var[0] == "S"},
     )
+
+
+class _Tracker:
+    def __init__(self, packet: Packet):
+        self.packet = packet
+        self.transmissions = 0
+        self.path: list[int] = []
+        self.outcome: str | None = None
+        self.delivery_time: float | None = None
+
+
+def dense_simulation(
+    plan: ContactPlan,
+    demands: list[Demand],
+    policy: Policy,
+    k_routes: int = 4,
+    tables: dict[int, RouteTable] | None = None,
+) -> SimResult:
+    """`run_simulation` stepped densely, for demands the plan accepts."""
+    grid = plan.grid
+    gen_index = [grid.boundary_index(d.t_gen) for d in demands]
+    if tables is None:
+        tables = build_route_tables(plan, k_routes, {d.dst for d in demands})
+
+    node_ids = sorted(plan.node_ids)
+    ledgers = {nid: CapacityLedger.for_plan(plan) for nid in node_ids}
+    inbox: dict[int, deque[Packet]] = {nid: deque() for nid in node_ids}
+    # Each node's queues in contact-id order, the order they return packets in.
+    queues: dict[int, dict[int, deque[Packet]]] = {nid: {} for nid in node_ids}
+    for c in sorted(plan.contacts, key=lambda contact: contact.contact_id):
+        queues[c.from_node][c.contact_id] = deque()
+
+    windows = plan.windows
+    state_contacts = [
+        [c for c in plan.contacts if q in windows[c.contact_id].states]
+        for q in range(grid.state_count + 1)
+    ]
+    trackers: dict[int, _Tracker] = {}
+    utilization: dict[tuple[int, int], int] = {}
+    next_id = 1
+
+    for q in range(1, grid.state_count + 1):
+        t_start = grid.state_start(q)
+        t_end = grid.state_end(q)
+
+        # Packets left on a contact with no state left go back to the store.
+        for nid in node_ids:
+            for cid, queue in queues[nid].items():
+                if queue and windows[cid].last < q:
+                    inbox[nid].extend(queue)
+                    queue.clear()
+
+        for d, idx in zip(demands, gen_index):
+            if idx != q - 1:
+                continue
+            for _ in range(d.count):
+                pkt = Packet(next_id, d.src, d.dst, d.t_gen, d.ttl)
+                tracker = _Tracker(pkt)
+                trackers[next_id] = tracker
+                next_id += 1
+                if d.src == d.dst:
+                    tracker.outcome = "delivered_on_time"
+                    tracker.delivery_time = d.t_gen
+                else:
+                    inbox[d.src].append(pkt)
+
+        for nid in node_ids:
+            box = inbox[nid]
+            while box:
+                pkt = box.popleft()
+                route = forward_or_drop(pkt, tables[nid], t_start, ledgers[nid], policy)
+                if route is None:
+                    trackers[pkt.packet_id].outcome = "dropped"
+                else:
+                    queues[nid][route.contacts[0]].append(pkt)
+
+        for c in state_contacts[q]:
+            queue = queues[c.from_node][c.contact_id]
+            for _ in range(min(c.capacity, len(queue))):
+                pkt = queue.popleft()
+                tracker = trackers[pkt.packet_id]
+                tracker.transmissions += 1
+                tracker.path.append(c.contact_id)
+                utilization[(c.contact_id, q)] = utilization.get((c.contact_id, q), 0) + 1
+                if c.to_node == pkt.dst:
+                    on_time = q <= grid.floor_boundary_index(pkt.deadline)
+                    tracker.outcome = "delivered_on_time" if on_time else "delivered_late"
+                    tracker.delivery_time = t_end
+                else:
+                    inbox[c.to_node].append(pkt)
+
+    for tracker in trackers.values():
+        if tracker.outcome is None:
+            tracker.outcome = "stranded"
+
+    records = [
+        PacketRecord(
+            packet_id=pid,
+            src=t.packet.src,
+            dst=t.packet.dst,
+            t_gen=t.packet.t_gen,
+            ttl=t.packet.ttl,
+            outcome=t.outcome,
+            delivery_time=t.delivery_time,
+            transmissions=t.transmissions,
+            path=tuple(t.path),
+        )
+        for pid, t in sorted(trackers.items())
+    ]
+    return SimResult(records=records, utilization=utilization)

@@ -247,11 +247,11 @@ def test_windows_are_the_grid_boundaries_of_each_contact(plan):
         assert last == grid.floor_boundary_index(c.end)
         assert 1 <= first <= last <= grid.state_count
         assert plan.volumes[c.contact_id] == c.capacity * (last - first + 1)
-    assert plan.state_contacts[0] == []
-    for q in range(1, grid.state_count + 1):
-        assert plan.state_contacts[q] == [
-            c for c in plan.contacts if q in plan.windows[c.contact_id].states
-        ]
+    # The simulator transmits in rank order: plan order, (start, contact_id).
+    assert sorted(plan.ranks.values()) == list(range(len(plan.contacts)))
+    assert sorted(plan.ranks, key=plan.ranks.__getitem__) == [
+        c.contact_id for c in sorted(plan.contacts, key=lambda c: (c.start, c.contact_id))
+    ]
     assert [(a.state, a.contact_id) for a in plan.arcs] == sorted(
         (q, c.contact_id) for c in plan.contacts for q in plan.windows[c.contact_id].states
     )
@@ -330,7 +330,7 @@ def plan_texts(draw):
 @given(plan_texts())
 @settings(max_examples=400, deadline=None)
 def test_parser_accepts_round_trips_or_raises_plan_error(text):
-    # Nothing here may read plan.windows or plan.state_contacts: a plan
+    # Nothing here may read plan.windows or plan.arcs: a plan
     # may have up to 10**6 states.
     try:
         plan = parse_contact_plan(text)

@@ -684,3 +684,70 @@ def test_an_optimum_outside_its_bounds_is_rejected():
     assert not _within_bounds([0.0, 2.0], [1.0, 4.001], lower, upper)
     assert not _within_bounds([0.0, math.nan], [1.0, 4.0], lower, upper)
     assert not _within_bounds([0.0, 2.0], [math.nan, 4.0], lower, upper)
+
+
+@pytest.mark.parametrize("injection, soft", [("burst", False), ("per-state", True)])
+def test_loads_built_on_one_plan_match_builds_on_fresh_plans(injection, soft):
+    # One plan keeps one layout per class set: later loads reuse it and
+    # only fill new right-hand sides. In any load order, each model must
+    # equal the model built on a freshly generated copy of the plan.
+    plan, _ = _study_inputs(3, 1, injection)
+    problems = []
+    for load in (5, 1, 3, 1, 5):
+        _, commodities = _study_inputs(3, load, injection)
+        problem = build_lp(plan, commodities, soft=soft)
+        fresh_plan, _ = _study_inputs(3, load, injection)
+        assert _model_digests(problem) == _model_digests(
+            build_lp(fresh_plan, commodities, soft=soft)
+        )
+        problems.append(problem)
+
+    first = problems[0]
+    for problem in problems[1:]:
+        assert problem.objective is first.objective
+        assert problem.a_eq is first.a_eq and problem.a_ub is first.a_ub
+    for i, problem in enumerate(problems):
+        for other in problems[i + 1:]:
+            for name in ("b_eq", "b_ub"):
+                assert not np.shares_memory(getattr(problem, name), getattr(other, name))
+
+    for array in (first.objective, *(
+        getattr(m, part) for m in (first.a_eq, first.a_ub) for part in ("data", "indices", "indptr")
+    )):
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+    with pytest.raises(TypeError):
+        first.x_index[(0, 0, 0)] = 0
+    first.b_eq[:] = 0.0
+    first.b_ub[:] = 0.0
+    _, commodities = _study_inputs(3, 5, injection)
+    assert _model_digests(build_lp(plan, commodities, soft=soft)) == _model_digests(problems[-1])
+
+
+_BASE_CLASSES = (
+    Commodity(11, 0.0, math.inf, ((1, 2.0), (2, 1.0))),
+    Commodity(11, 0.0, 20.0, ((6, 1.0), (7, 3.0))),
+)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        ("weights", _BASE_CLASSES, power_weights(2.0), False),
+        ("soft", _BASE_CLASSES, None, True),
+        ("dst", tuple(dataclasses.replace(c, dst=10) for c in _BASE_CLASSES), None, False),
+        ("t_gen", tuple(dataclasses.replace(c, t_gen=10.0) for c in _BASE_CLASSES), None, False),
+        ("ttl", (_BASE_CLASSES[0], dataclasses.replace(_BASE_CLASSES[1], ttl=30.0)), None, False),
+        ("sources", (Commodity(11, 0.0, math.inf, ((1, 2.0), (3, 1.0))), _BASE_CLASSES[1]),
+         None, False),
+    ],
+    ids=lambda change: change[0],
+)
+def test_a_layout_is_reused_only_for_the_same_weights_soft_flag_and_classes(change):
+    _, commodities, weight, soft = change
+    plan, _ = _study_inputs(1, 1, "burst")
+    build_lp(plan, list(_BASE_CLASSES))
+    fresh_plan, _ = _study_inputs(1, 1, "burst")
+    assert _model_digests(build_lp(plan, list(commodities), weight, soft)) == _model_digests(
+        build_lp(fresh_plan, list(commodities), weight, soft)
+    )

@@ -2,10 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cgrlab.contact_graph import build_route_table
-from cgrlab.contact_plan import Contact, ContactPlan, parse_contact_plan
+from cgrlab.contact_plan import Contact, ContactPlan, NodeSpec, StateGrid, parse_contact_plan
 from cgrlab.forwarding import Policy
+from cgrlab.lp_oracle import build_lp, demands_to_commodities, lp_metrics, solve_lp
 from cgrlab.simulator import (
     OUTCOMES,
     Demand,
@@ -16,7 +19,7 @@ from cgrlab.simulator import (
 )
 
 from conftest import random_demands, random_small_plan
-from oracles import enumerate_routes
+from oracles import dense_simulation, enumerate_routes
 
 
 def test_three_node_deltime_congestion(fig1_plan, fig1_demands):
@@ -198,3 +201,103 @@ def test_packets_left_on_an_ended_contact_return_to_the_store():
         assert (first.outcome, first.path, first.delivery_time) == ("delivered_on_time", (1,), 20.0)
         assert (second.outcome, second.path, second.delivery_time) == ("delivered_on_time", (2,), 30.0)
         assert result.generated() == 2 == sum(result.count(o) for o in OUTCOMES)
+
+
+def test_deadline_on_an_inexact_grid_is_the_lps_boundary():
+    # 3 * 0.1 is 0.30000000000000004, past the 0.3 s deadline as a float,
+    # but state 3 ends on the deadline's grid boundary, so the packet is on
+    # time for the policies as for the LP.
+    plan = parse_contact_plan("plan 5 0.1\nnode 1 inf\nnode 2 inf\ncontact 1 1 2 0.2 0.3 1\n")
+    demands = [Demand(1, 2, 0.0, 0.3, 1)]
+    for policy in Policy:
+        (record,) = run_simulation(plan, demands, policy, 2).records
+        assert (record.outcome, record.path) == ("delivered_on_time", (1,))
+    commodities = demands_to_commodities(demands)
+    solution = solve_lp(build_lp(plan, commodities))
+    assert lp_metrics(plan, commodities, solution).delivery_ratio == 1.0
+
+
+@st.composite
+def simulations(draw):
+    """A small plan with multi-state windows and contact ids in random
+    order of start, mixed deadlines, burst or per-state injection, a
+    policy, and route tables built at t = 0 or later (so packets can
+    outlive the contact they were queued on and return to the store).
+
+    Half the plans are funnels: the sources' contacts all lead to one
+    relay, which alone reaches the destination. Packets from contacts that
+    opened in different states can then reach the relay in one state and
+    compete for its contacts, where the order contacts transmit in shows.
+    `_transmit_order_case` is one such plan, checked on every run.
+    """
+    duration = draw(st.sampled_from([10.0, 0.1, 2.5]))
+    states = draw(st.integers(2, 6))
+    grid = StateGrid(states, duration)
+    nodes = list(range(1, draw(st.integers(3, 5)) + 1))
+    funnel = draw(st.booleans())
+
+    def window():
+        q1 = draw(st.integers(1, states))
+        return grid.state_start(q1), grid.state_end(draw(st.integers(q1, states)))
+
+    links = []
+    if funnel:
+        relay, dst = nodes[-2:]
+        for _ in range(draw(st.integers(2, 6))):
+            links.append((draw(st.sampled_from(nodes[:-2])), relay, *window(), 1))
+        for _ in range(draw(st.integers(1, 2))):
+            links.append((relay, dst, *window(), draw(st.integers(1, 2))))
+    else:
+        for _ in range(draw(st.integers(0, 10))):
+            a, b = draw(st.permutations(nodes))[:2]
+            links.append((a, b, *window(), draw(st.integers(0, 3))))
+    ids = draw(st.permutations(range(1, len(links) + 1)))
+    plan = ContactPlan(
+        grid, [NodeSpec(v) for v in nodes], [Contact(cid, *link) for cid, link in zip(ids, links)]
+    )
+
+    built_at = draw(st.integers(1, states))
+    per_state = draw(st.booleans())
+    demands = []
+    for _ in range(draw(st.integers(1, 4))):
+        if funnel:
+            src, dst = draw(st.sampled_from(nodes[:-2])), nodes[-1]
+        else:
+            src, dst = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
+        ttl = draw(st.sampled_from([math.inf, 0.0, 1.0, 1.5, 2.0, 3.0])) * duration
+        count = draw(st.integers(1, 6))
+        starts = range(1, states + 1) if per_state else [draw(st.sampled_from([1, built_at]))]
+        demands += [Demand(src, dst, grid.state_start(q), ttl, count) for q in starts]
+
+    policy = draw(st.sampled_from(list(Policy)))
+    k = draw(st.integers(1, 4))
+    tables = None
+    if built_at > 1:
+        t_now = grid.state_start(built_at)
+        dests = {d.dst for d in demands}
+        tables = {v: build_route_table(plan, v, t_now, k, dests) for v in nodes}
+    return plan, demands, policy, k, tables
+
+
+def _transmit_order_case():
+    """Contacts 2 (opened in state 1) and 1 (opened in state 2) both carry
+    a packet to relay 3 in state 2, and the relay can forward only one:
+    the packet on contact 2, first in plan order."""
+    plan = parse_contact_plan(
+        "plan 4 10\nnode 1 inf\nnode 2 inf\nnode 3 inf\nnode 4 inf\n"
+        "contact 1 2 3 10 20 1\ncontact 2 1 3 0 30 1\ncontact 3 3 4 20 30 1\n"
+    )
+    demands = [Demand(1, 4, 10.0, math.inf, 1), Demand(2, 4, 10.0, math.inf, 1)]
+    tables = {v: build_route_table(plan, v, 10.0, 2, {4}) for v in range(1, 5)}
+    return plan, demands, Policy.DELTIME, 2, tables
+
+
+@given(simulations())
+@example(_transmit_order_case())
+@settings(max_examples=400, deadline=None)
+def test_stepping_only_queued_contacts_matches_the_dense_loop(case):
+    plan, demands, policy, k, tables = case
+    sparse = run_simulation(plan, demands, policy, k, tables)
+    dense = dense_simulation(plan, demands, policy, k, tables)
+    assert sparse.records == dense.records
+    assert sparse.utilization == dense.utilization
