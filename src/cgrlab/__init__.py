@@ -32,10 +32,7 @@ from .forwarding import (
     CapacityLedger,
     Packet,
     Policy,
-    book_capacity,
-    filter_routes,
     forward_or_drop,
-    select_route,
 )
 from .simulator import (
     Demand,

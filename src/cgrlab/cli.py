@@ -31,7 +31,6 @@ from .lp_oracle import (
     build_lp,
     demands_to_commodities,
     lp_metrics,
-    power_weights,
     problem_to_lp_text,
     solution_flows_csv,
     solution_from_json,
@@ -226,7 +225,7 @@ def _cmd_lp(args) -> int:
     plan = parse_contact_plan(args.plan.read_text())
     demands = demands_from_json(args.demands.read_text())
     commodities = demands_to_commodities(demands)
-    problem = build_lp(plan, commodities, power_weights(args.weight_exponent), soft=args.soft)
+    problem = build_lp(plan, commodities, args.weight_exponent, soft=args.soft)
     if args.export_lp:
         args.export_lp.write_text(problem_to_lp_text(problem))
     solution = solve_lp(problem)
@@ -263,7 +262,7 @@ def _cmd_verify(args) -> int:
     plan = parse_contact_plan(args.plan.read_text())
     demands = demands_from_json(args.demands.read_text())
     commodities = demands_to_commodities(demands)
-    problem = build_lp(plan, commodities, power_weights(args.weight_exponent), soft=args.soft)
+    problem = build_lp(plan, commodities, args.weight_exponent, soft=args.soft)
     solution = solution_from_json(args.solution.read_text())
     violations = verify_solution(problem, solution, tol=args.tol)
     for v in violations:

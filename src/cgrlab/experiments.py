@@ -36,8 +36,8 @@ from .lp_oracle import (
     build_lp,
     demands_to_commodities,
     lp_metrics,
-    power_weights,
     solve_lp,
+    state_weights,
 )
 from .simulator import Demand, Metrics, compute_metrics, run_simulation
 
@@ -129,6 +129,10 @@ class ScenarioConfig:
             raise ConfigError("loads must be >= 0")
         if self.routing.k_routes < 1:
             raise ConfigError("k_routes must be >= 1")
+        try:
+            state_weights(self.lp.weight_exponent, self.topology.grid.state_count)
+        except ValueError as e:
+            raise ConfigError(f"lp: {e}") from None
 
     def ordered_schemes(self) -> tuple[str, ...]:
         return tuple(s for s in SCHEME_ORDER if s in self.schemes)
@@ -363,9 +367,7 @@ def _run_lp_cell(
     session: LpSession,
 ) -> CellResult:
     commodities = demands_to_commodities(demands)
-    problem = build_lp(
-        plan, commodities, power_weights(cfg.lp.weight_exponent), soft=cfg.lp.soft
-    )
+    problem = build_lp(plan, commodities, cfg.lp.weight_exponent, soft=cfg.lp.soft)
     solution = solve_lp(problem, session)
     generated = sum(c.amount for c in commodities)
     if solution.status != "optimal":

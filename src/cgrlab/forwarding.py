@@ -1,7 +1,9 @@
 """Per-packet route selection and local capacity bookkeeping.
 
-Two policies choose among the routes that survive filtering: DELTIME picks
-the earliest projected delivery, HOPS picks the fewest contacts. Each node
+A policy is an order on a node's routes to the packet's destination:
+DELTIME puts the earliest projected delivery first, HOPS the fewest
+contacts. A packet takes the first route in that order that is still
+usable, and one unit is booked on each of its contacts. Each node
 keeps its own capacity ledger of bookings it has made; nodes do not see
 each other's bookings, which is exactly what makes congestion possible.
 
@@ -23,15 +25,12 @@ __all__ = [
     "Policy",
     "CapacityLedger",
     "CapacityError",
-    "filter_routes",
-    "select_route",
-    "book_capacity",
     "forward_or_drop",
 ]
 
 
 class Policy(Enum):
-    """Route selection rule applied to the filtered route set."""
+    """Route order: the first usable route in it is booked."""
 
     DELTIME = "deltime"
     HOPS = "hops"
@@ -60,7 +59,7 @@ class CapacityLedger:
     """Residual bookable volume per contact, as seen by one node.
 
     Initialized to each contact's whole-window volume (capacity times
-    covered states); decremented only through book_capacity.
+    covered states); decremented only through book.
     """
 
     def __init__(self, residuals: dict[int, int]):
@@ -85,53 +84,6 @@ class CapacityLedger:
             self._residuals[cid] -= n
 
 
-def filter_routes(
-    table: RouteTable, pkt: Packet, t_now: float, ledger: CapacityLedger
-) -> list[Route]:
-    """Keep the routes still usable for this packet at t_now, in table order.
-
-    A route survives when it has not expired, its scheduled first-hop
-    departure has not already passed, every contact still has bookable
-    volume, and it delivers within the packet's deadline, read on the
-    table's grid: by the end of the last state that ends at or before the
-    deadline (`StateGrid.floor_boundary_index`), the rule the simulator
-    and the LP bound apply too.
-    """
-    grid = table.grid
-    cutoff = grid.state_end(grid.floor_boundary_index(pkt.deadline))
-    out = []
-    for r in table.routes_for(pkt.dst):
-        if r.expiration <= t_now:
-            continue
-        if r.departure_time < t_now:
-            continue
-        if any(ledger.residual(cid) < 1 for cid in r.contacts):
-            continue
-        if r.delivery_time > cutoff:
-            continue
-        out.append(r)
-    return out
-
-
-def select_route(feasible: list[Route], policy: Policy) -> Route | None:
-    """Pick the best feasible route under the policy, or None if empty."""
-    if not feasible:
-        return None
-    if policy is Policy.DELTIME:
-        return min(feasible, key=Route.sort_key)
-    return min(feasible, key=Route.hops_key)
-
-
-def book_capacity(ledger: CapacityLedger, route: Route, n: int) -> CapacityLedger:
-    """Reserve n packets of volume on every contact of the route.
-
-    Atomic: raises CapacityError (without mutating) when any contact's
-    residual is insufficient. Returns the ledger for chaining.
-    """
-    ledger.book(route.contacts, n)
-    return ledger
-
-
 def forward_or_drop(
     pkt: Packet,
     table: RouteTable,
@@ -139,13 +91,29 @@ def forward_or_drop(
     ledger: CapacityLedger,
     policy: Policy,
 ) -> Route | None:
-    """Full forwarding decision for one packet: filter, select, book.
+    """Full forwarding decision for one packet: book and return the first
+    usable route in the policy's order, or None when the packet must be
+    dropped. The packet is queued on the route's first contact.
 
-    Returns the booked route whose first contact the packet should be
-    queued on, or None when the packet must be dropped.
+    DELTIME orders routes by `Route.sort_key`, HOPS by `Route.hops_key`;
+    the routes are sorted here, since a table built by hand may list them
+    in any order. A route is usable when it has not expired, its scheduled
+    first-hop departure has not already passed, every contact still has
+    bookable volume, and it delivers within the packet's deadline, read on
+    the table's grid: by the end of the last state that ends at or before
+    the deadline (`StateGrid.floor_boundary_index`), the rule the
+    simulator and the LP bound apply too.
     """
-    route = select_route(filter_routes(table, pkt, t_now, ledger), policy)
-    if route is None:
-        return None
-    book_capacity(ledger, route, 1)
-    return route
+    grid = table.grid
+    cutoff = grid.state_end(grid.floor_boundary_index(pkt.deadline))
+    key = Route.sort_key if policy is Policy.DELTIME else Route.hops_key
+    for route in sorted(table.routes_for(pkt.dst), key=key):
+        if (
+            route.expiration > t_now
+            and route.departure_time >= t_now
+            and all(ledger.residual(cid) >= 1 for cid in route.contacts)
+            and route.delivery_time <= cutoff
+        ):
+            ledger.book(route.contacts, 1)
+            return route
+    return None

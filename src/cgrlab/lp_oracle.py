@@ -6,8 +6,10 @@ per class, keyed by (destination, generation time, ttl); a commodity
 carries a supply at each of its sources. For each state the plan's
 contacts become capacitated arcs, and the model chooses fractional
 per-arc flows X and per-timestamp buffer occupancies B that minimize a
-weighted transmission cost, with the weight strictly increasing in the
-state index so that later transmissions cost more.
+weighted transmission cost. A flow in state q costs q ** e for the weight
+exponent e (1 by default); `state_weights` accepts an exponent only when
+those weights are finite and strictly increasing over the plan's states,
+so later transmissions always cost more.
 
 Why one commodity per class loses nothing: every constraint sees a
 class's traffic only through its destination, generation time and
@@ -50,12 +52,9 @@ outside the window can carry flow at an optimum:
   its destination from the deadline on, and in a soft model without
   finite buffers stranded traffic can stay where it is.
 
-Two cases keep the full horizon for deadline classes too. In a soft model
-with a finite buffer, stranded traffic of an expired class may have to
-move on to free storage another class needs. And the hard-model argument
-counts on flow conserving mass, which fails when a contact joins a node
-the plan does not declare (such an arc end has no balance row); the
-parser rejects such plans, but a plan built directly can hold them.
+A soft model with a finite buffer keeps the full horizon for deadline
+classes too: stranded traffic of an expired class may have to move on to
+free storage another class needs.
 
 A model's layout -- index maps, objective, matrices and the rows that
 take the supplies -- depends on the plan, the state weights, the soft
@@ -69,13 +68,15 @@ only the amounts, so builds each seed's layout once.
 (`scipy.optimize._highspy`), with the rows in `a_ub`, `a_eq` order and the
 dual simplex, the settings `scipy.optimize.linprog` uses, so a cold solve
 returns the same optimum. An `LpSession` keeps the model loaded: a sweep
-solves one seed's loads through one session, and since the loads change
-only the right-hand sides, the dual simplex restarts from the previous
-basis, which stays dual feasible (Huangfu & Hall, "Parallelizing the dual
-revised simplex method", Math. Prog. Comp. 2018). Status and objective do
-not depend on the start, but when several optima tie, a warm solve may
-return another one, so the hops, delay and energy read off it may differ
-from a cold solve's.
+solves one seed's loads through one session. A problem built from the
+loaded layout holds the very objective and matrix objects the session
+loaded; identity is the whole test, and only such a problem is solved
+warm, by passing its new right-hand sides. The dual simplex then restarts
+from the previous basis, which stays dual feasible (Huangfu & Hall,
+"Parallelizing the dual revised simplex method", Math. Prog. Comp. 2018).
+Status and objective do not depend on the start, but when several optima
+tie, a warm solve may return another one, so the hops, delay and energy
+read off it may differ from a cold solve's.
 
 `verify_solution` independently re-derives every constraint of the
 full, unwindowed model from the raw plan and commodity data, reading
@@ -97,7 +98,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 from scipy.optimize._highspy import _core as highs
@@ -113,8 +114,7 @@ __all__ = [
     "Violation",
     "LpSolverError",
     "LpSession",
-    "power_weights",
-    "linear_weights",
+    "state_weights",
     "demands_to_commodities",
     "build_lp",
     "solve_lp",
@@ -125,8 +125,6 @@ __all__ = [
     "solution_to_json",
     "solution_from_json",
 ]
-
-WeightFn = Callable[[int], float]
 
 _EPS = 1e-9
 # How far a reported optimum may stray outside its variable and row bounds
@@ -167,7 +165,7 @@ class Commodity:
         for v, amount in self.supply:
             if amount < 0:
                 raise ValueError(f"commodity amount must be >= 0, got {amount} at node {v}")
-        if self.ttl < 0:
+        if not self.ttl >= 0:
             raise ValueError(f"commodity ttl must be >= 0, got {self.ttl}")
 
     @property
@@ -270,20 +268,23 @@ class Violation:
         return f"{self.constraint} at {self.location}: off by {self.amount:.3e}"
 
 
-def linear_weights(q: int) -> float:
-    """Default state weight: the 1-based state index itself."""
-    return float(q)
+def state_weights(exponent: float, state_count: int) -> tuple[float, ...]:
+    """The objective weight q ** exponent of each state q = 1..state_count.
 
-
-def power_weights(exponent: float) -> WeightFn:
-    """Weight family q**exponent; strictly increasing for exponent > 0."""
-    if exponent <= 0:
-        raise ValueError(f"weight exponent must be > 0, got {exponent}")
-
-    def w(q: int) -> float:
-        return float(q) ** exponent
-
-    return w
+    Raises ValueError unless the exponent is positive and the weights are
+    finite and strictly increasing: a large exponent overflows, and a tiny
+    one makes neighbouring weights round to the same float.
+    """
+    try:
+        ws = tuple(float(q) ** exponent for q in range(1, state_count + 1))
+        if exponent > 0 and all(a < b for a, b in zip(ws, ws[1:])) and math.isfinite(ws[-1]):
+            return ws
+    except OverflowError:
+        pass
+    raise ValueError(
+        f"weight exponent {exponent} does not give finite, strictly increasing "
+        f"weights over {state_count} states"
+    )
 
 
 def demands_to_commodities(demands: list[Demand]) -> list[Commodity]:
@@ -347,16 +348,17 @@ class _Layout:
 def build_lp(
     plan: ContactPlan,
     commodities: list[Commodity],
-    weight: WeightFn | None = None,
+    weight_exponent: float = 1.0,
     soft: bool = False,
 ) -> LpProblem:
     """Assemble the flow model for a plan and commodity set.
 
     Flow variables are created only where a commodity may actually send:
     arcs in states of its window (see the module docstring) and not
-    leaving its destination. Raises ValueError for unknown nodes,
-    generation times off the grid or at/after the horizon, and
-    non-increasing weights.
+    leaving its destination. A flow in state q costs q ** weight_exponent.
+    Raises ValueError for nodes the plan does not declare (in a commodity
+    or a contact), generation times off the grid or at/after the horizon,
+    and exponents `state_weights` rejects.
 
     Everything but the supplies is the model's layout (`_build_layout`),
     built once per weight sequence, soft flag and class set and kept on
@@ -364,9 +366,7 @@ def build_lp(
     sides. Problems from one layout share its read-only index maps,
     objective and matrices.
     """
-    f = plan.grid.state_count
-    weight = weight or linear_weights
-    ws = tuple(float(weight(q)) for q in range(1, f + 1))
+    ws = state_weights(weight_exponent, plan.grid.state_count)
     coms = tuple(commodities)
     key = (ws, soft, tuple((com.dst, com.t_gen, com.ttl, tuple(v for v, _ in com.supply))
                            for com in coms))
@@ -410,10 +410,10 @@ def _build_layout(
     """
     grid = plan.grid
     f = grid.state_count
-    if any(w <= 0 for w in ws) or any(b <= a for a, b in zip(ws, ws[1:])):
-        raise ValueError("state weights must be positive and strictly increasing")
-
     known = plan.node_ids
+    for c in plan.contacts:
+        if c.from_node not in known or c.to_node not in known:
+            raise ValueError(f"contact {c.contact_id} references an undeclared node")
     gen_idx = []
     for com in coms:
         if com.dst not in known or any(v not in known for v, _ in com.supply):
@@ -425,11 +425,9 @@ def _build_layout(
     pos = {v: i for i, v in enumerate(node_ids)}
     arcs = plan.arcs
 
-    # Node positions are -1 for arc endpoints the plan does not declare:
-    # such an arc has no balance row at that end.
     arc_state = np.array([a.state for a in arcs], dtype=np.int64)
-    arc_from = np.array([pos.get(a.from_node, -1) for a in arcs], dtype=np.int64)
-    arc_to = np.array([pos.get(a.to_node, -1) for a in arcs], dtype=np.int64)
+    arc_from = np.array([pos[a.from_node] for a in arcs], dtype=np.int64)
+    arc_to = np.array([pos[a.to_node] for a in arcs], dtype=np.int64)
     gen = np.array(gen_idx, dtype=np.int64)
     dst = np.array([pos[com.dst] for com in coms], dtype=np.int64)
 
@@ -438,10 +436,7 @@ def _build_layout(
     # docstring shows that loses nothing.
     deadlines = [_deadline_index(plan, com) for com in coms]
     dl = np.array([f + 1 if d is None else d for d in deadlines], dtype=np.int64)
-    if soft:
-        cut = all(math.isinf(spec.buffer_capacity) for spec in plan.nodes)
-    else:
-        cut = bool((arc_from >= 0).all() and (arc_to >= 0).all())
+    cut = not soft or all(math.isinf(spec.buffer_capacity) for spec in plan.nodes)
     last = np.minimum(dl, f) if cut else np.full(n_coms, f, dtype=np.int64)
 
     # A commodity sends on an arc in a state of its window, unless the arc
@@ -488,9 +483,8 @@ def _build_layout(
     later = bt > gen[bk]
     eq.append((bal_row[later], b_cols[bt[later] - 1, bv[later], bk[later]], -1.0))
     x_row = first[x_com] + (x_state - gen[x_com]) * n_nodes
-    into, out_of = arc_to[x_arc], arc_from[x_arc]
-    eq.append(((x_row + into)[into >= 0], np.flatnonzero(into >= 0), -1.0))
-    eq.append(((x_row + out_of)[out_of >= 0], np.flatnonzero(out_of >= 0), 1.0))
+    eq.append((x_row + arc_to[x_arc], np.arange(n_x), -1.0))
+    eq.append((x_row + arc_from[x_arc], np.arange(n_x), 1.0))
     fin_row = first + (f + 1 - gen) * n_nodes
     if soft:
         eq.append((fin_row, b_cols[f, dst, ks], 1.0))
@@ -569,53 +563,37 @@ class LpSession:
     """One HiGHS model kept across solves of problems that differ only in
     their right-hand sides.
 
-    The first problem, and any problem whose objective or constraint
-    matrices differ from the loaded ones, is loaded into a fresh solver and
-    solved cold. Otherwise only the changed row bounds are passed, and the
-    dual simplex restarts from the last basis, which a change of right-hand
-    sides leaves dual feasible. Problems built from one layout hold the
-    very same objective and matrix objects, which settles the comparison
-    at once; others are compared array by array.
+    A problem that holds the very objective and matrix objects last
+    loaded, as every problem built from one layout does, is solved warm:
+    only the changed row bounds are passed, and the dual simplex restarts
+    from the last basis, which a change of right-hand sides leaves dual
+    feasible. Any other problem is loaded into a fresh solver and solved
+    cold.
     """
 
     def __init__(self):
         self._highs = None
-        self._objective = None
-        self._matrices = ()
+        self._structure = None  # the loaded (objective, a_ub, a_eq)
         self._row_lower = self._row_upper = None
 
     def _load(self, problem: LpProblem):
-        """The solver holding `problem`, warm when the structure matches."""
-        matrices = (problem.a_ub, problem.a_eq)
+        """The solver holding `problem`, warm when it holds the loaded
+        objective and matrices."""
+        structure = (problem.objective, problem.a_ub, problem.a_eq)
         n_ub = 0 if problem.a_ub is None else problem.a_ub.shape[0]
         lower = np.concatenate((np.full(n_ub, -highs.kHighsInf), problem.b_eq))
         upper = np.concatenate((problem.b_ub, problem.b_eq))
-        if self._highs is not None and self._same_structure(problem.objective, matrices):
+        if self._structure is not None and all(
+            new is old for new, old in zip(structure, self._structure)
+        ):
             changed = np.flatnonzero((lower != self._row_lower) | (upper != self._row_upper))
             for row in changed.tolist():
                 self._highs.changeRowBounds(row, lower[row], upper[row])
         else:
-            self._highs = _cold_solver(problem.objective, matrices, lower, upper)
-            self._objective, self._matrices = problem.objective, matrices
+            self._highs = _cold_solver(problem.objective, structure[1:], lower, upper)
+            self._structure = structure
         self._row_lower, self._row_upper = lower, upper
         return self._highs
-
-    def _same_structure(self, objective: np.ndarray, matrices) -> bool:
-        if objective is self._objective and all(
-            new is old for new, old in zip(matrices, self._matrices)
-        ):
-            return True
-        if not np.array_equal(objective, self._objective):
-            return False
-        for new, old in zip(matrices, self._matrices):
-            if (new is None) != (old is None):
-                return False
-            if new is not None and not all(
-                np.array_equal(getattr(new, part), getattr(old, part))
-                for part in ("indptr", "indices", "data")
-            ):
-                return False
-        return True
 
 
 def _cold_solver(objective: np.ndarray, matrices, lower: np.ndarray, upper: np.ndarray):
@@ -818,7 +796,9 @@ def lp_metrics(
 
     Delivered amounts come from the final destination buffers (amount minus
     drop slack); transmissions are the total flow; delay weights each
-    on-time arrival state's destination inflow by its lateness.
+    on-time arrival state's destination inflow by its lateness. On time
+    means at or before the deadline's grid boundary
+    (`StateGrid.floor_boundary_index`), the rule the simulator applies.
     """
     if solution.status != "optimal":
         raise ValueError("lp_metrics requires an optimal solution")
@@ -836,18 +816,14 @@ def lp_metrics(
     delay_sum = 0.0
     delay_weight = 0.0
     for k, com in enumerate(commodities):
+        dl = _deadline_index(plan, com)
         for c in plan.contacts:
             if c.to_node != com.dst:
                 continue
             for q in windows[c.contact_id].states:
-                t_q = grid.state_end(q)
-                if math.isinf(com.ttl):
-                    on_time = True
-                else:
-                    on_time = t_q <= com.deadline + _EPS * max(1.0, abs(com.deadline))
-                if on_time:
+                if dl is None or q <= dl:
                     flow = solution.x_flows.get((c.contact_id, q, k), 0.0)
-                    delay_sum += (t_q - com.t_gen) * flow
+                    delay_sum += (grid.state_end(q) - com.t_gen) * flow
                     delay_weight += flow
 
     return Metrics(

@@ -13,7 +13,7 @@ The run advances one state at a time. Within a state, in this order:
    arrive at the receiving node when the state ends and are processed in
    the next state. A packet delivered in state q is on time when q is at
    or before its deadline's grid boundary (`StateGrid.floor_boundary_index`),
-   the rule route filtering and the LP bound apply too.
+   the rule forwarding and the LP bound apply too.
 
 Only contacts with queued packets are visited: the run keeps a queue per
 contact that holds packets, made when the first one is queued and dropped
@@ -175,7 +175,7 @@ def _check_demands(plan: ContactPlan, demands: list[Demand]) -> list[int]:
             raise ValueError(f"demand references unknown node: {d}")
         if d.count < 0:
             raise ValueError(f"demand count must be >= 0: {d}")
-        if d.ttl < 0:
+        if not d.ttl >= 0:
             raise ValueError(f"demand ttl must be >= 0: {d}")
         idx = plan.grid.boundary_index(d.t_gen)
         if idx is None or idx >= plan.grid.state_count:

@@ -17,6 +17,10 @@ queued contacts: every state is stepped, every node's queues are scanned
 for returns, and every contact active in a state is visited in plan order.
 Its on-time test is the grid rule the simulator applies: delivered in a
 state at or before the deadline's `floor_boundary_index`.
+
+`reference_forward_or_drop` is forwarding as it was written before it
+became one ordered scan: keep every usable route in table order, pick the
+policy's minimum among them, then book it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
-from cgrlab.contact_graph import RouteTable, build_route_tables
+from cgrlab.contact_graph import Route, RouteTable, build_route_tables
 from cgrlab.contact_plan import Contact, ContactPlan
 from cgrlab.forwarding import CapacityLedger, Packet, Policy, forward_or_drop
 from cgrlab.lp_oracle import Commodity, LpSolution
@@ -167,6 +171,72 @@ def solve_full_lp(plan: ContactPlan, commodities: list[Commodity], soft: bool) -
         buffers={var[1:]: x for var, x in values.items() if var[0] == "B"},
         slacks={var[1]: x for var, x in values.items() if var[0] == "S"},
     )
+
+
+def filter_routes(
+    table: RouteTable, pkt: Packet, t_now: float, ledger: CapacityLedger
+) -> list[Route]:
+    """Keep the routes still usable for this packet at t_now, in table order.
+
+    A route survives when it has not expired, its scheduled first-hop
+    departure has not already passed, every contact still has bookable
+    volume, and it delivers within the packet's deadline, read on the
+    table's grid: by the end of the last state that ends at or before the
+    deadline (`StateGrid.floor_boundary_index`), the rule the simulator
+    and the LP bound apply too.
+    """
+    grid = table.grid
+    cutoff = grid.state_end(grid.floor_boundary_index(pkt.deadline))
+    out = []
+    for r in table.routes_for(pkt.dst):
+        if r.expiration <= t_now:
+            continue
+        if r.departure_time < t_now:
+            continue
+        if any(ledger.residual(cid) < 1 for cid in r.contacts):
+            continue
+        if r.delivery_time > cutoff:
+            continue
+        out.append(r)
+    return out
+
+
+def select_route(feasible: list[Route], policy: Policy) -> Route | None:
+    """Pick the best feasible route under the policy, or None if empty."""
+    if not feasible:
+        return None
+    if policy is Policy.DELTIME:
+        return min(feasible, key=Route.sort_key)
+    return min(feasible, key=Route.hops_key)
+
+
+def book_capacity(ledger: CapacityLedger, route: Route, n: int) -> CapacityLedger:
+    """Reserve n packets of volume on every contact of the route.
+
+    Atomic: raises CapacityError (without mutating) when any contact's
+    residual is insufficient. Returns the ledger for chaining.
+    """
+    ledger.book(route.contacts, n)
+    return ledger
+
+
+def reference_forward_or_drop(
+    pkt: Packet,
+    table: RouteTable,
+    t_now: float,
+    ledger: CapacityLedger,
+    policy: Policy,
+) -> Route | None:
+    """Full forwarding decision for one packet: filter, select, book.
+
+    Returns the booked route whose first contact the packet should be
+    queued on, or None when the packet must be dropped.
+    """
+    route = select_route(filter_routes(table, pkt, t_now, ledger), policy)
+    if route is None:
+        return None
+    book_capacity(ledger, route, 1)
+    return route
 
 
 class _Tracker:

@@ -216,3 +216,64 @@ def test_sweep_and_report(tmp_path, capsys):
     code, report_out, _ = run_cli(capsys, "report", "--sweep-dir", out_a)
     assert code == 0
     assert "# delivery_ratio" in report_out
+
+
+@pytest.fixture
+def one_contact_plan(tmp_path):
+    path = tmp_path / "one.cp"
+    path.write_text("plan 10 10\nnode 1 inf\nnode 2 inf\ncontact 1 1 2 10 20 5\n")
+    return path
+
+
+def _one_packet(tmp_path, ttl):
+    path = tmp_path / "one.json"
+    path.write_text(f'[{{"src": 1, "dst": 2, "t_gen": 0, "ttl": {ttl}, "count": 1}}]')
+    return path
+
+
+@pytest.mark.parametrize("command", [
+    ["sim", "--policy", "deltime"], ["sim", "--policy", "hops"], ["lp"], ["lp", "--soft"],
+])
+def test_a_nan_ttl_is_rejected(one_contact_plan, tmp_path, capsys, command):
+    demands = _one_packet(tmp_path, "NaN")
+    code, out, err = run_cli(
+        capsys, *command[:1], "--plan", one_contact_plan, "--demands", demands, *command[1:]
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "ttl must be >= 0" in err
+
+
+@pytest.mark.parametrize("exponent", ["nan", "inf", "0", "-1", "400", "1e-300"])
+def test_lp_rejects_a_weight_exponent_without_increasing_weights(
+    one_contact_plan, tmp_path, capsys, exponent
+):
+    demands = _one_packet(tmp_path, "null")
+    for command in ("lp", "verify"):
+        extra = ["--solution", tmp_path / "missing.json"] if command == "verify" else []
+        code, out, err = run_cli(
+            capsys, command, "--plan", one_contact_plan, "--demands", demands,
+            "--weight-exponent", exponent, *extra,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: weight exponent")
+
+
+@pytest.mark.parametrize("exponent", [0.0, float("nan"), 400.0])
+def test_sweep_rejects_a_weight_exponent_without_increasing_weights(tmp_path, capsys, exponent):
+    config = {
+        "topology": {"node_count": 6, "density": 0.3, "capacity": 5,
+                     "states": 10, "state_duration": 10.0},
+        "traffic": {"destination": 6, "no_ttl_sources": [1, 2],
+                    "ttl_sources": [3, 4], "ttl_value": 20.0},
+        "schemes": ["DELTIME", "HOPS", "LP"],
+        "seeds": [1],
+        "loads": [1],
+        "lp": {"weight_exponent": exponent, "soft": False},
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, "sweep", "--config", config_path, "--out", out_dir)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: lp: weight exponent")
+    assert not out_dir.exists()

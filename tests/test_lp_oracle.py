@@ -20,16 +20,17 @@ from cgrlab.contact_plan import (
 from cgrlab.lp_oracle import (
     Commodity,
     LpSession,
+    LpSolution,
     _within_bounds,
     build_lp,
     demands_to_commodities,
     lp_metrics,
-    power_weights,
     problem_to_lp_text,
     solution_flows_csv,
     solution_from_json,
     solution_to_json,
     solve_lp,
+    state_weights,
     verify_solution,
 )
 from cgrlab.simulator import Demand
@@ -145,6 +146,20 @@ def test_three_node_lp_metrics(fig1_plan, fig1_commodities, fig1_solved):
     assert metrics.mean_delay == pytest.approx(25.0)
 
 
+def test_lp_metrics_reads_on_time_arrivals_by_the_grid_deadline_rule():
+    # The deadline 0.002 - 1e-10 lies just before the end of state 2, so its
+    # boundary is 1: the unit arriving in state 2 is late, as the simulator
+    # and the model's ddl rows count it.
+    plan = parse_contact_plan(
+        "plan 3 0.001\nnode 1 inf\nnode 2 inf\n"
+        "contact 1 1 2 0 0.001 1\ncontact 2 1 2 0.001 0.002 1\n"
+    )
+    commodities = [Commodity(2, 0.0, 0.002 - 1e-10, ((1, 2.0),))]
+    assert plan.grid.floor_boundary_index(commodities[0].deadline) == 1
+    solution = LpSolution("optimal", 3.0, x_flows={(1, 1, 0): 1.0, (2, 2, 0): 1.0})
+    assert lp_metrics(plan, commodities, solution).mean_delay == pytest.approx(0.001)
+
+
 def test_tight_deadlines_infeasible(fig1_plan):
     demands = [Demand(1, 3, 0.0, 10.0, 10), Demand(2, 3, 0.0, 10.0, 10)]
     solution = solve_lp(build_lp(fig1_plan, demands_to_commodities(demands)))
@@ -188,10 +203,16 @@ def test_generation_time_must_be_on_grid(fig1_plan):
 
 
 def test_weights_must_increase(fig1_plan, fig1_commodities):
-    with pytest.raises(ValueError):
-        build_lp(fig1_plan, fig1_commodities, weight=lambda q: 1.0)
-    with pytest.raises(ValueError):
-        power_weights(0.0)
+    assert state_weights(1.0, 3) == (1.0, 2.0, 3.0)
+    assert state_weights(2.0, 3) == (1.0, 4.0, 9.0)
+    # 400 overflows at q = 10 on a 10-state plan; at 1e-300 every weight
+    # rounds to 1.0.
+    plan, commodities = _study_inputs(1, 1, "burst")
+    for exponent in (0.0, -1.0, math.nan, math.inf, 400.0, 1e-300):
+        with pytest.raises(ValueError, match="weight exponent"):
+            build_lp(plan, commodities, exponent)
+    with pytest.raises(ValueError, match="weight exponent"):
+        build_lp(fig1_plan, fig1_commodities, 0.0)
 
 
 def test_no_flow_before_generation(fig1_plan):
@@ -221,14 +242,6 @@ def test_deadline_forces_on_time_arrival(fig1_plan, fig1_commodities, fig1_solve
     _, solution = fig1_solved
     # the 20 s commodity must fully reside at its destination by t=20
     assert solution.buffers[(2, 3, 1)] == pytest.approx(10.0)
-
-
-def test_weight_scaling_leaves_flows_unchanged(fig1_plan, fig1_commodities):
-    base = solve_lp(build_lp(fig1_plan, fig1_commodities, weight=lambda q: float(q)))
-    doubled = solve_lp(build_lp(fig1_plan, fig1_commodities, weight=lambda q: 2.0 * q))
-    assert doubled.objective == pytest.approx(2.0 * base.objective)
-    for key, value in base.x_flows.items():
-        assert doubled.x_flows[key] == pytest.approx(value, abs=1e-7)
 
 
 def test_mutated_solutions_are_rejected(fig1_solved):
@@ -471,20 +484,17 @@ def test_soft_expired_class_still_moves_to_free_a_finite_buffer():
     assert solution.x_flows[(1, 2, 0)] == pytest.approx(5.0)
 
 
-def test_hard_deadline_class_keeps_its_horizon_when_a_contact_leaves_the_plan():
-    # Node 9 is not declared, so contacts to and from it break mass
-    # conservation: the full model delivers a packet from node 9 by the
-    # deadline and sinks the real one into node 9 in state 2, after it.
+def test_build_lp_rejects_a_contact_with_an_undeclared_node():
+    # Node 9 is not declared, so a contact to or from it has no balance row
+    # at that end and would break mass conservation; the parser rejects
+    # such plans too.
     grid = StateGrid(3, 10.0)
-    plan = ContactPlan(
-        grid,
-        [NodeSpec(1), NodeSpec(2)],
-        [Contact(1, 9, 2, 0.0, 10.0, 5), Contact(2, 1, 9, 10.0, 20.0, 5)],
-    )
     commodities = [Commodity(2, 0.0, 10.0, ((1, 1.0),))]
-    solution = _assert_matches_the_full_model(plan, commodities, soft=False)
-    assert solution.status == "optimal"
-    assert solution.objective == pytest.approx(3.0)
+    for contact in (Contact(1, 9, 2, 0.0, 10.0, 5), Contact(2, 1, 9, 10.0, 20.0, 5)):
+        plan = ContactPlan(grid, [NodeSpec(1), NodeSpec(2)], [contact])
+        for soft in (False, True):
+            with pytest.raises(ValueError, match="undeclared node"):
+                build_lp(plan, commodities, soft=soft)
 
 
 def _study_inputs(seed: int, load: int, injection: str):
@@ -623,10 +633,12 @@ def test_model_layout_is_pinned(name):
 def test_session_matches_fresh_solves_from_feasible_to_infeasible_and_back():
     # Study seed 14's hard LP is feasible at loads 1-2 and infeasible from
     # load 3 on, so this order crosses the boundary both ways, repeatedly.
+    # The plan is built once, as a sweep builds each seed's plan once.
+    plan, _ = _study_inputs(14, 1, "burst")
     session = LpSession()
     statuses, solvers = [], []
     for load in (1, 3, 2, 5, 1, 4, 2):
-        plan, commodities = _study_inputs(14, load, "burst")
+        _, commodities = _study_inputs(14, load, "burst")
         problem = build_lp(plan, commodities)
         warm = solve_lp(problem, session)
         solvers.append(session._highs)
@@ -649,22 +661,27 @@ def _rewired(plan):
     return ContactPlan(plan.grid, list(plan.nodes), [dataclasses.replace(first, to_node=to_node), *rest])
 
 
-@pytest.mark.parametrize("change", ["plan", "rewired", "classes", "soft", "weights"])
+@pytest.mark.parametrize("change", ["plan", "copy", "rewired", "classes", "soft", "weights"])
 def test_session_rebuilds_on_a_new_structure_and_gives_the_cold_answer(change):
     plan, commodities = _study_inputs(1, 3, "burst")
     session = LpSession()
     solve_lp(build_lp(plan, commodities), session)
-    weight = None
+    loaded = session._highs
+    exponent = 1.0
     if change == "plan":
         plan, commodities = _study_inputs(2, 3, "burst")
+    elif change == "copy":
+        # The same seed regenerated: equal arrays, but not the loaded ones.
+        plan, commodities = _study_inputs(1, 3, "burst")
     elif change == "rewired":
         plan = _rewired(plan)
     elif change == "classes":
         commodities = commodities[:1]
     elif change == "weights":
-        weight = power_weights(2.0)
-    problem = build_lp(plan, commodities, weight, soft=change == "soft")
+        exponent = 2.0
+    problem = build_lp(plan, commodities, exponent, soft=change == "soft")
     assert solve_lp(problem, session) == solve_lp(problem)
+    assert session._highs is not loaded
 
 
 def test_solve_without_a_session_does_not_depend_on_earlier_calls():
@@ -733,21 +750,21 @@ _BASE_CLASSES = (
 @pytest.mark.parametrize(
     "change",
     [
-        ("weights", _BASE_CLASSES, power_weights(2.0), False),
-        ("soft", _BASE_CLASSES, None, True),
-        ("dst", tuple(dataclasses.replace(c, dst=10) for c in _BASE_CLASSES), None, False),
-        ("t_gen", tuple(dataclasses.replace(c, t_gen=10.0) for c in _BASE_CLASSES), None, False),
-        ("ttl", (_BASE_CLASSES[0], dataclasses.replace(_BASE_CLASSES[1], ttl=30.0)), None, False),
+        ("weights", _BASE_CLASSES, 2.0, False),
+        ("soft", _BASE_CLASSES, 1.0, True),
+        ("dst", tuple(dataclasses.replace(c, dst=10) for c in _BASE_CLASSES), 1.0, False),
+        ("t_gen", tuple(dataclasses.replace(c, t_gen=10.0) for c in _BASE_CLASSES), 1.0, False),
+        ("ttl", (_BASE_CLASSES[0], dataclasses.replace(_BASE_CLASSES[1], ttl=30.0)), 1.0, False),
         ("sources", (Commodity(11, 0.0, math.inf, ((1, 2.0), (3, 1.0))), _BASE_CLASSES[1]),
-         None, False),
+         1.0, False),
     ],
     ids=lambda change: change[0],
 )
 def test_a_layout_is_reused_only_for_the_same_weights_soft_flag_and_classes(change):
-    _, commodities, weight, soft = change
+    _, commodities, exponent, soft = change
     plan, _ = _study_inputs(1, 1, "burst")
     build_lp(plan, list(_BASE_CLASSES))
     fresh_plan, _ = _study_inputs(1, 1, "burst")
-    assert _model_digests(build_lp(plan, list(commodities), weight, soft)) == _model_digests(
-        build_lp(fresh_plan, list(commodities), weight, soft)
+    assert _model_digests(build_lp(plan, list(commodities), exponent, soft)) == _model_digests(
+        build_lp(fresh_plan, list(commodities), exponent, soft)
     )
