@@ -135,7 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", type=Path, required=True)
     p.add_argument("--demands", type=Path, required=True)
     p.add_argument("--solution", type=Path, required=True)
-    p.add_argument("--weight-exponent", type=float, default=1.0)
     p.add_argument("--soft", action="store_true")
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=_cmd_verify)
@@ -262,7 +261,7 @@ def _cmd_verify(args) -> int:
     plan = parse_contact_plan(args.plan.read_text())
     demands = demands_from_json(args.demands.read_text())
     commodities = demands_to_commodities(demands)
-    problem = build_lp(plan, commodities, args.weight_exponent, soft=args.soft)
+    problem = build_lp(plan, commodities, soft=args.soft)
     solution = solution_from_json(args.solution.read_text())
     violations = verify_solution(problem, solution, tol=args.tol)
     for v in violations:

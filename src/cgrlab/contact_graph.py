@@ -75,7 +75,6 @@ class RouteTable:
     plan, with the plan's grid, on which every route time lies."""
 
     owner: int
-    k_routes: int
     grid: StateGrid
     routes: dict[int, list[Route]] = field(default_factory=dict)
 
@@ -315,7 +314,7 @@ def build_route_table(
 ) -> RouteTable:
     """Compute the owner's k-best route lists toward each destination."""
     _require_nodes(plan, owner, *destinations)
-    table = RouteTable(owner=owner, k_routes=k_routes, grid=plan.grid)
+    table = RouteTable(owner=owner, grid=plan.grid)
     for dest in sorted(destinations):
         if dest == owner:
             table.routes[dest] = []

@@ -1,15 +1,15 @@
 """Optimal multi-commodity flow over the state-expanded contact plan.
 
 This is the global-knowledge upper bound the distributed forwarding
-policies are compared against. Traffic is aggregated into one commodity
-per class, keyed by (destination, generation time, ttl); a commodity
-carries a supply at each of its sources. For each state the plan's
-contacts become capacitated arcs, and the model chooses fractional
-per-arc flows X and per-timestamp buffer occupancies B that minimize a
-weighted transmission cost. A flow in state q costs q ** e for the weight
-exponent e (1 by default); `state_weights` accepts an exponent only when
-those weights are finite and strictly increasing over the plan's states,
-so later transmissions always cost more.
+policies are compared against. Traffic is grouped into classes, keyed by
+(destination, generation time, ttl), each with a supply at each of its
+sources. For each state the plan's contacts become capacitated arcs, and
+the model chooses fractional per-arc flows X and per-timestamp buffer
+occupancies B that minimize a weighted transmission cost. A flow in state
+q costs q ** e for the weight exponent e (1 by default); `state_weights`
+accepts an exponent only when those weights are finite and strictly
+increasing over the plan's states, so later transmissions always cost
+more.
 
 Why one commodity per class loses nothing: every constraint sees a
 class's traffic only through its destination, generation time and
@@ -20,6 +20,45 @@ cycles (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 3); assigning
 each path to the source it starts from gives per-source flows with the
 same arc use. So both models have the same feasible arc flows and the
 same optimum, with about 1/sources as many variables and balance rows.
+
+The solved model goes one step further: one commodity per group of
+classes sharing (destination, deadline). Every no-deadline class of a
+destination has the deadline inf, so those form one group. Once
+generated, the units of a group are interchangeable: same sink, same
+deadline rows, and weights that belong to states, not to classes. A
+group has a supply at each (generation timestamp, source) pair, and its
+window starts at its earliest generation. Each later injection
+injection(g, v) also bounds its buffer column below, B(g, v) >=
+injection(g, v); this is a column bound, not a row. It stands for the
+per-class rule that a class has no flow in states up to its generation:
+units generated at boundary g must not leave in state g. Without it,
+merged traffic could leave in state g on supply that only appears at its
+end, and the merged bound would be wrong (a prototype without it flipped
+a status and missed soft objectives by up to 97%).
+
+Why the merge loses nothing (the time-expanded-flow argument of Ford &
+Fulkerson, "Constructing maximal dynamic flows from static flows", Oper.
+Res. 1958, and flow decomposition again): a per-class solution sums to a
+merged one with the same arc flows and cost, and it meets the bound,
+because the class generated at (g, v) holds exactly its supply there.
+Conversely, `solve_lp` splits a merged optimum into its classes by
+generation FIFO. State by state, each node splits its outflow once its
+inflows in that state are split; each arc, in arc order, takes the
+oldest units first. A class's supply joins the stock only after its
+generation state's flows, and the bound says the older stock and that
+state's inflow cover the outflow, so no class leaves in its own
+generation state and no class's stock goes negative. The split has the
+merged arc flows, so the same cost, and a class's slack is what it has
+not delivered at the horizon. Every per-class row holds: balance by
+construction; ddl and fin because no arc leaves the destination, so the
+group's stock there only grows, and the group's own ddl and fin rows then
+allow no arrival after the deadline and, in a hard model, no unit away
+from the destination at the horizon. So the split is feasible for the
+per-class model at the merged optimum's cost, and it is an optimum of
+that model. `LpProblem.commodities`, solutions, `verify_solution`,
+`lp_metrics` and the exports stay per class; a class's delay reads its
+own split arrivals. With one class per group the model is the per-class
+model, column for column and row for row.
 
 Constraint families (names used in row tags and verifier reports):
 
@@ -38,11 +77,12 @@ Constraint families (names used in row tags and verifier reports):
               amount at every timestamp from the deadline onward;
 * fin      -- at the horizon all traffic resides at its destination.
 
-Each class k lives in a window: from its generation timestamp g_k to the
-last state L_k in which its flow can matter. The model has flow variables
-only for states g_k < q <= L_k and buffer variables only for timestamps
-g_k..f; its init row sits at g_k and its bal rows cover g_k+1..f. Nothing
-outside the window can carry flow at an optimum:
+Each model commodity k lives in a window: from its generation timestamp
+g_k (a group's earliest) to the last state L_k in which its flow can
+matter. The model has flow variables only for
+states g_k < q <= L_k and buffer variables only for timestamps g_k..f;
+its init row sits at g_k and its bal rows cover g_k+1..f. Nothing outside
+the window can carry flow at an optimum:
 
 * before g_k no arc may send (no-early-send), so every buffer is zero
   until the supply appears at g_k;
@@ -56,13 +96,14 @@ A soft model with a finite buffer keeps the full horizon for deadline
 classes too: stranded traffic of an expired class may have to move on to
 free storage another class needs.
 
-A model's layout -- index maps, objective, matrices and the rows that
-take the supplies -- depends on the plan, the state weights, the soft
-flag and the class set (each class's destination, generation time, ttl
-and source nodes), but not on the amounts. `build_lp` builds one layout
-per plan and class set, keeps it on the plan, and on every call fills
-only fresh right-hand sides from the supplies. A sweep, whose loads change
-only the amounts, so builds each seed's layout once.
+A model's layout -- groups, index maps, objective, matrices, the rows
+that take the supplies and the columns they bound -- depends on the plan,
+the state weights, the soft flag and the class set (each class's
+destination, generation time, ttl and source nodes), but not on the
+amounts. `build_lp` builds one layout per plan and class set, keeps it on
+the plan, and on every call fills only fresh right-hand sides and column
+bounds from the supplies. A sweep, whose loads change only the amounts,
+so builds each seed's layout once.
 
 `solve_lp` hands the model to HiGHS through the binding scipy bundles
 (`scipy.optimize._highspy`), with the rows in `a_ub`, `a_eq` order and the
@@ -71,7 +112,8 @@ returns the same optimum. An `LpSession` keeps the model loaded: a sweep
 solves one seed's loads through one session. A problem built from the
 loaded layout holds the very objective and matrix objects the session
 loaded; identity is the whole test, and only such a problem is solved
-warm, by passing its new right-hand sides. The dual simplex then restarts
+warm, by passing its new right-hand sides and column bounds. The dual
+simplex then restarts
 from the previous basis, which stays dual feasible (Huangfu & Hall,
 "Parallelizing the dual revised simplex method", Math. Prog. Comp. 2018).
 Status and objective do not depend on the start, but when several optima
@@ -79,9 +121,9 @@ tie, a warm solve may return another one, so the hops, delay and energy
 read off it may differ from a cold solve's.
 
 `verify_solution` independently re-derives every constraint of the
-full, unwindowed model from the raw plan and commodity data, reading
-missing variables as zero, so a certified solution never depends on the
-solver, or on the windows, being right.
+full, unwindowed, per-class model from the raw plan and commodity data,
+reading missing variables as zero, so a certified solution never depends
+on the solver, the windows, the merge or the split being right.
 
 The optional soft mode adds one nonnegative drop slack per commodity with
 a large penalty (horizon times arc count), turning infeasible instances
@@ -95,6 +137,7 @@ import csv
 import io
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -182,17 +225,28 @@ class Commodity:
 class LpProblem:
     """Assembled model: variable index maps, sparse rows, and row tags.
 
-    Variable layout: flows X keyed by (contact_id, state, commodity index),
-    buffers B keyed by (timestamp index, node, commodity index), then one
-    slack per commodity in soft mode. The index maps, objective and
-    matrices are shared, read-only, by every problem built on the same
-    plan with the same weights, soft flag and class set; b_eq and b_ub are
-    the problem's own. The variable and row names are worked out on first
-    use; only the LP text export reads them.
+    The solved model has one commodity per group of classes sharing
+    (dst, deadline); `groups[m]` lists the classes of model commodity m,
+    numbered in the order of their first class. Its columns are flows X
+    (arc-major, then model commodity), buffers B (timestamp, node, model
+    commodity), then one slack per model commodity in soft mode; `objective`,
+    the matrices, `col_lower` and `n_vars` describe them, and the names use
+    k for the model commodity. The index maps are keyed per class, as a
+    solution is: flows by (contact_id, state, class), buffers by (timestamp
+    index, node, class), slacks by class, each mapping to the column that
+    carries that class's variable, which the classes of one group share.
+    With one class per group, model commodities are the classes.
+
+    The index maps, objective and matrices are shared, read-only, by every
+    problem built on the same plan with the same weights, soft flag and
+    class set; b_eq, b_ub and col_lower are the problem's own. The variable
+    and row names are worked out on first use; only the LP text export
+    reads them.
     """
 
     plan: ContactPlan
     commodities: tuple[Commodity, ...]
+    groups: tuple[tuple[int, ...], ...]
     soft: bool
     x_index: Mapping[tuple[int, int, int], int]
     b_index: Mapping[tuple[int, int, int], int]
@@ -202,6 +256,8 @@ class LpProblem:
     b_eq: np.ndarray
     a_ub: csr_matrix | None
     b_ub: np.ndarray
+    col_lower: np.ndarray
+    _merges: tuple[_Merge, ...] = ()
 
     @property
     def n_vars(self) -> int:
@@ -209,30 +265,38 @@ class LpProblem:
 
     @cached_property
     def var_names(self) -> list[str]:
-        names = [f"X_c{cid}_s{q}_k{k}" for cid, q, k in self.x_index]
-        names += [f"B_t{t}_n{v}_k{k}" for t, v, k in self.b_index]
-        return names + [f"S_k{k}" for k in self.slack_index]
+        # Every column carries its group's oldest class, so every column
+        # gets a name.
+        group = {k: m for m, ks in enumerate(self.groups) for k in ks}
+        names: dict[int, str] = {}
+        for (cid, q, k), col in self.x_index.items():
+            names.setdefault(col, f"X_c{cid}_s{q}_k{group[k]}")
+        for (t, v, k), col in self.b_index.items():
+            names.setdefault(col, f"B_t{t}_n{v}_k{group[k]}")
+        for k, col in self.slack_index.items():
+            names.setdefault(col, f"S_k{group[k]}")
+        return [names[col] for col in range(self.n_vars)]
 
     @cached_property
     def eq_names(self) -> list[str]:
         f = self.plan.grid.state_count
         node_ids = sorted(self.plan.node_ids)
         names = []
-        for k, com in enumerate(self.commodities):
-            gen = _generation_index(self.plan, com)
-            names += [f"init_n{v}_k{k}" for v in node_ids]
-            names += [f"bal_t{t}_n{v}_k{k}" for t in range(gen + 1, f + 1) for v in node_ids]
-            names += [f"fin_k{k}"] if self.soft else [f"fin_n{v}_k{k}" for v in node_ids]
+        for m, ks in enumerate(self.groups):
+            gen = min(_generation_index(self.plan, self.commodities[k]) for k in ks)
+            names += [f"init_n{v}_k{m}" for v in node_ids]
+            names += [f"bal_t{t}_n{v}_k{m}" for t in range(gen + 1, f + 1) for v in node_ids]
+            names += [f"fin_k{m}"] if self.soft else [f"fin_n{v}_k{m}" for v in node_ids]
         return names
 
     @cached_property
     def ub_names(self) -> list[str]:
         f = self.plan.grid.state_count
         names = []
-        for k, com in enumerate(self.commodities):
-            dl = _deadline_index(self.plan, com)
+        for m, ks in enumerate(self.groups):
+            dl = _deadline_index(self.plan, self.commodities[ks[0]])
             if dl is not None:
-                names += [f"ddl_t{t}_k{k}" for t in range(dl, f + 1)]
+                names += [f"ddl_t{t}_k{m}" for t in range(dl, f + 1)]
         capped = dict.fromkeys((cid, q) for cid, q, _ in self.x_index)
         names += [f"arccap_c{cid}_s{q}" for cid, q in capped]
         if self.commodities:
@@ -325,13 +389,33 @@ def _deadline_index(plan: ContactPlan, com: Commodity) -> int | None:
 
 
 @dataclass(frozen=True)
+class _Merge:
+    """What `solve_lp` needs to split one model commodity's optimum back
+    into its classes (see the module docstring); only groups of two or more
+    classes have one. Node indices are positions in sorted node order."""
+
+    classes: tuple[int, ...]  # oldest generation first, ties by class index
+    gens: tuple[int, ...]  # their generation timestamps
+    sources: tuple[tuple[int, ...], ...]  # each class's source nodes, in supply order
+    dst: int
+    # state -> (column, from, to) of each flow column, in arc order
+    arcs: Mapping[int, tuple[tuple[int, int, int], ...]]
+    x_keys: tuple[tuple[int, int, int], ...]  # the classes' flow keys
+    x_cells: np.ndarray  # column * len(classes) + class position of each flow key
+    b_keys: tuple[tuple[int, int, int], ...]  # the classes' buffer keys
+    b_cells: np.ndarray  # ((t - gens[0]) * nodes + node) * len(classes) + class position
+
+
+@dataclass(frozen=True)
 class _Layout:
     """The part of a model fixed by the plan, the weights, the soft flag and
     the class set (each class's dst, t_gen, ttl and source nodes): index
     maps, objective, matrices, and where the supplies go in the
-    right-hand sides. Its arrays are read-only, since every problem built
-    from it shares them."""
+    right-hand sides and column bounds. Its arrays are read-only, since
+    every problem built from it shares them."""
 
+    groups: tuple[tuple[int, ...], ...]
+    group_of: np.ndarray  # the model commodity of each class
     x_index: Mapping[tuple[int, int, int], int]
     b_index: Mapping[tuple[int, int, int], int]
     slack_index: Mapping[int, int]
@@ -339,10 +423,13 @@ class _Layout:
     a_eq: csr_matrix | None
     a_ub: csr_matrix | None
     n_eq: int
-    supply_rows: np.ndarray  # init row of each (class, source), in supply order
-    fin_rows: np.ndarray  # the row holding each class's amount in fin
-    ddl_classes: np.ndarray  # the class of each ddl row; ddl rows come first in b_ub
+    supply_rows: np.ndarray  # the init or bal row of each (class, source), in supply order
+    bounded: np.ndarray  # the (class, source) entries generated after their group's first
+    bound_cols: np.ndarray  # the buffer column each bounded entry bounds below
+    fin_rows: np.ndarray  # the row holding each model commodity's amount in fin
+    ddl_groups: np.ndarray  # the model commodity of each ddl row; ddl rows come first in b_ub
     b_ub: np.ndarray  # arccap and bufcap bounds, ddl rows left at zero
+    merges: tuple[_Merge, ...]
 
 
 def build_lp(
@@ -353,18 +440,19 @@ def build_lp(
 ) -> LpProblem:
     """Assemble the flow model for a plan and commodity set.
 
-    Flow variables are created only where a commodity may actually send:
-    arcs in states of its window (see the module docstring) and not
-    leaving its destination. A flow in state q costs q ** weight_exponent.
-    Raises ValueError for nodes the plan does not declare (in a commodity
-    or a contact), generation times off the grid or at/after the horizon,
-    and exponents `state_weights` rejects.
+    Classes sharing (dst, deadline) become one model commodity, and flow
+    variables are created only where it may actually send: arcs in states
+    of its window (see the module docstring) and not leaving its
+    destination. A flow in state q costs q ** weight_exponent. Raises
+    ValueError for nodes the plan does not declare (in a commodity or a
+    contact), generation times off the grid or at/after the horizon, and
+    exponents `state_weights` rejects.
 
     Everything but the supplies is the model's layout (`_build_layout`),
     built once per weight sequence, soft flag and class set and kept on
     the plan (see the module docstring); each call fills fresh right-hand
-    sides. Problems from one layout share its read-only index maps,
-    objective and matrices.
+    sides and column bounds. Problems from one layout share its read-only
+    index maps, objective and matrices.
     """
     ws = state_weights(weight_exponent, plan.grid.state_count)
     coms = tuple(commodities)
@@ -374,15 +462,20 @@ def build_lp(
     if layout is None:
         layout = plan._lp_layouts[key] = _build_layout(plan, coms, ws, soft)
 
+    supply = np.array([a for com in coms for _, a in com.supply], dtype=np.float64)
     amount = np.array([com.amount for com in coms], dtype=np.float64)
+    carried = np.bincount(layout.group_of, weights=amount, minlength=len(layout.groups))
     b_eq = np.zeros(layout.n_eq)
-    b_eq[layout.supply_rows] = [a for com in coms for _, a in com.supply]
-    b_eq[layout.fin_rows] = amount
+    np.add.at(b_eq, layout.supply_rows, supply)
+    b_eq[layout.fin_rows] = carried
     b_ub = layout.b_ub.copy()
-    b_ub[: len(layout.ddl_classes)] = -amount[layout.ddl_classes]
+    b_ub[: len(layout.ddl_groups)] = -carried[layout.ddl_groups]
+    col_lower = np.zeros(len(layout.objective))
+    np.add.at(col_lower, layout.bound_cols, supply[layout.bounded])
     return LpProblem(
         plan=plan,
         commodities=coms,
+        groups=layout.groups,
         soft=soft,
         x_index=layout.x_index,
         b_index=layout.b_index,
@@ -392,21 +485,26 @@ def build_lp(
         b_eq=b_eq,
         a_ub=layout.a_ub,
         b_ub=b_ub,
+        col_lower=col_lower,
+        _merges=layout.merges,
     )
 
 
 def _build_layout(
     plan: ContactPlan, coms: tuple[Commodity, ...], ws: tuple[float, ...], soft: bool
 ) -> _Layout:
-    """The model's layout for `build_lp`, from integer arc x class arrays.
+    """The model's layout for `build_lp`, from integer arc x commodity arrays.
 
-    Columns are numbered X (arc-major, then commodity), then B (timestamp,
-    node, commodity, from each commodity's generation timestamp on), then
-    one slack per commodity in soft mode. Equality rows run per commodity:
-    init at its generation timestamp and bal after it, one row per
-    (timestamp, node), then fin. Inequality rows are ddl per commodity,
-    then arccap per arc with at least one flow variable, then bufcap per
-    finite-buffer node and timestamp.
+    Model commodities are the (dst, deadline) groups of classes, numbered
+    by their first class; a group's generation timestamp is its earliest
+    class's. Columns are numbered X (arc-major, then model commodity), then
+    B (timestamp, node, model commodity, from the commodity's generation
+    timestamp on), then one slack per model commodity in soft mode.
+    Equality rows run per model commodity: init at its generation
+    timestamp and bal after it, one row per (timestamp, node), then fin.
+    Inequality rows are ddl per model commodity, then arccap per arc with
+    at least one flow variable, then bufcap per finite-buffer node and
+    timestamp. The index maps key every class's window into these columns.
     """
     grid = plan.grid
     f = grid.state_count
@@ -425,22 +523,33 @@ def _build_layout(
     pos = {v: i for i, v in enumerate(node_ids)}
     arcs = plan.arcs
 
+    by_key: dict[tuple[int, float], list[int]] = {}
+    for k, com in enumerate(coms):
+        by_key.setdefault((com.dst, com.deadline), []).append(k)
+    groups = tuple(tuple(ks) for ks in by_key.values())
+    n_grp = len(groups)
+    group_of = np.zeros(n_coms, dtype=np.int64)
+    for m, ks in enumerate(groups):
+        group_of[list(ks)] = m
+    cls_gen = np.array(gen_idx, dtype=np.int64)
+
     arc_state = np.array([a.state for a in arcs], dtype=np.int64)
     arc_from = np.array([pos[a.from_node] for a in arcs], dtype=np.int64)
     arc_to = np.array([pos[a.to_node] for a in arcs], dtype=np.int64)
-    gen = np.array(gen_idx, dtype=np.int64)
-    dst = np.array([pos[com.dst] for com in coms], dtype=np.int64)
+    arc_cid = np.array([a.contact_id for a in arcs], dtype=np.int64)
+    gen = np.array([min(gen_idx[k] for k in ks) for ks in groups], dtype=np.int64)
+    dst = np.array([pos[coms[ks[0]].dst] for ks in groups], dtype=np.int64)
 
-    # Deadline index per commodity, f + 1 standing in for "no deadline";
-    # the window of commodity k ends at its deadline only where the module
-    # docstring shows that loses nothing.
-    deadlines = [_deadline_index(plan, com) for com in coms]
+    # Deadline index per model commodity, f + 1 standing in for "no
+    # deadline"; the window of commodity m ends at its deadline only where
+    # the module docstring shows that loses nothing.
+    deadlines = [_deadline_index(plan, coms[ks[0]]) for ks in groups]
     dl = np.array([f + 1 if d is None else d for d in deadlines], dtype=np.int64)
     cut = not soft or all(math.isinf(spec.buffer_capacity) for spec in plan.nodes)
-    last = np.minimum(dl, f) if cut else np.full(n_coms, f, dtype=np.int64)
+    last = np.minimum(dl, f) if cut else np.full(n_grp, f, dtype=np.int64)
 
-    # A commodity sends on an arc in a state of its window, unless the arc
-    # leaves its destination.
+    # A model commodity sends on an arc in a state of its window, unless
+    # the arc leaves its destination.
     sends = (
         (arc_state[:, None] > gen[None, :])
         & (arc_state[:, None] <= last[None, :])
@@ -449,34 +558,31 @@ def _build_layout(
     x_arc, x_com = np.nonzero(sends)
     x_state = arc_state[x_arc]
     n_x = len(x_arc)
-    x_keys = list(
-        zip([arcs[i].contact_id for i in x_arc.tolist()], x_state.tolist(), x_com.tolist())
-    )
+    x_cols = np.full(sends.shape, -1, dtype=np.int64)
+    x_cols[x_arc, x_com] = np.arange(n_x)
 
-    # Buffer columns for every (timestamp, node, commodity) with the
+    # Buffer columns for every (timestamp, node, model commodity) with the
     # timestamp at or after the commodity's generation; -1 elsewhere.
     live = np.arange(f + 1)[:, None] >= gen[None, :]
-    b_live = np.broadcast_to(live[:, None, :], (f + 1, n_nodes, n_coms))
+    b_live = np.broadcast_to(live[:, None, :], (f + 1, n_nodes, n_grp))
     bt, bv, bk = np.nonzero(b_live)
     s_base = n_x + len(bt)
     b_cols = np.full(b_live.shape, -1, dtype=np.int64)
     b_cols[bt, bv, bk] = np.arange(n_x, s_base)
-    b_keys = list(zip(bt.tolist(), np.array(node_ids)[bv].tolist(), bk.tolist()))
-    slack_index = {k: s_base + k for k in range(n_coms)} if soft else {}
-    n_vars = s_base + len(slack_index)
+    n_vars = s_base + (n_grp if soft else 0)
 
     big_m = grid.horizon * max(1, len(arcs))
     objective = np.zeros(n_vars)
     objective[:n_x] = np.asarray(ws)[x_state - 1]
     objective[s_base:] = big_m
 
-    # Equality rows: commodity k owns rows from first[k] on, with the init
-    # (t = gen) and bal (t > gen) row of (t, node v) at
-    # first[k] + (t - gen) * n_nodes + v, then its fin rows.
+    # Equality rows: model commodity m owns rows from first[m] on, with the
+    # init (t = gen) and bal (t > gen) row of (t, node v) at
+    # first[m] + (t - gen) * n_nodes + v, then its fin rows.
     n_fin = 1 if soft else n_nodes
     per_com = (f + 1 - gen) * n_nodes + n_fin
     first = np.cumsum(per_com) - per_com
-    ks = np.arange(n_coms)
+    ms = np.arange(n_grp)
     eq: list[tuple[np.ndarray, np.ndarray, float]] = []
     bal_row = first[bk] + (bt - gen[bk]) * n_nodes + bv
     eq.append((bal_row, b_cols[bt, bv, bk], 1.0))
@@ -487,21 +593,27 @@ def _build_layout(
     eq.append((x_row + arc_from[x_arc], np.arange(n_x), 1.0))
     fin_row = first + (f + 1 - gen) * n_nodes
     if soft:
-        eq.append((fin_row, b_cols[f, dst, ks], 1.0))
-        eq.append((fin_row, s_base + ks, 1.0))
+        eq.append((fin_row, b_cols[f, dst, ms], 1.0))
+        eq.append((fin_row, s_base + ms, 1.0))
     else:
-        fk, fv = (a.ravel() for a in np.indices((n_coms, n_nodes)))
-        eq.append((fin_row[fk] + fv, b_cols[f, fv, fk], 1.0))
+        fm, fv = (a.ravel() for a in np.indices((n_grp, n_nodes)))
+        eq.append((fin_row[fm] + fv, b_cols[f, fv, fm], 1.0))
     n_eq = int(per_com.sum())
+
+    # Each (class, source) supply enters the row of its generation
+    # timestamp; one generated after its group's first also bounds that
+    # buffer column below, so it cannot leave in its generation state.
     sup_com = np.array([k for k, com in enumerate(coms) for _ in com.supply], dtype=np.int64)
     sup_node = np.array([pos[v] for com in coms for v, _ in com.supply], dtype=np.int64)
+    sup_grp, sup_t = group_of[sup_com], cls_gen[sup_com]
+    bounded = np.flatnonzero(sup_t > gen[sup_grp])
 
-    # Inequality rows: for each commodity with a deadline, one ddl row per
-    # timestamp from its deadline index to f (none for dl = f + 1); then
-    # arccap, then bufcap.
+    # Inequality rows: for each model commodity with a deadline, one ddl
+    # row per timestamp from its deadline index to f (none for dl = f + 1);
+    # then arccap, then bufcap.
     ub: list[tuple[np.ndarray, np.ndarray, float]] = []
     counts = f + 1 - dl
-    ddl_com = np.repeat(ks, counts)
+    ddl_com = np.repeat(ms, counts)
     ddl_row = np.arange(len(ddl_com))
     ddl_t = ddl_row + np.repeat(dl - (np.cumsum(counts) - counts), counts)
     ub.append((ddl_row, b_cols[ddl_t, dst[ddl_com], ddl_com], -1.0))
@@ -517,29 +629,72 @@ def _build_layout(
     n_ub += int(capped.sum())
 
     if coms:
-        ct, ck = np.nonzero(live)
+        lt, lm = np.nonzero(live)
         for spec in plan.nodes:
             if math.isinf(spec.buffer_capacity):
                 continue
-            ub.append((n_ub + ct, b_cols[ct, pos[spec.node_id], ck], 1.0))
+            ub.append((n_ub + lt, b_cols[lt, pos[spec.node_id], lm], 1.0))
             ub_rhs.append(np.full(f + 1, spec.buffer_capacity))
             n_ub += f + 1
 
+    # Each class's variables: its own window inside its group's columns.
+    cls_sends = sends[:, group_of] & (arc_state[:, None] > cls_gen[None, :])
+    xa, xk = np.nonzero(cls_sends)
+    x_keys = list(zip(arc_cid[xa].tolist(), arc_state[xa].tolist(), xk.tolist()))
+    cls_live = np.arange(f + 1)[:, None] >= cls_gen[None, :]
+    ct, cv, ck = np.nonzero(np.broadcast_to(cls_live[:, None, :], (f + 1, n_nodes, n_coms)))
+    b_keys = list(zip(ct.tolist(), np.array(node_ids)[cv].tolist(), ck.tolist()))
+    merges = []
+    for m, ks in enumerate(groups):
+        if len(ks) == 1:
+            continue
+        classes = sorted(ks, key=lambda k: (gen_idx[k], k))
+        n = len(classes)
+        rank = np.zeros(n_coms, dtype=np.int64)
+        rank[classes] = np.arange(n)
+        mine = x_arc[x_com == m]
+        by_state: dict[int, list[tuple[int, int, int]]] = {}
+        for q, entry in zip(arc_state[mine].tolist(), zip(
+            x_cols[mine, m].tolist(), arc_from[mine].tolist(), arc_to[mine].tolist()
+        )):
+            by_state.setdefault(q, []).append(entry)
+        xs = np.flatnonzero(group_of[xk] == m)
+        bs = np.flatnonzero(group_of[ck] == m)
+        merges.append(_Merge(
+            classes=tuple(classes),
+            gens=tuple(gen_idx[k] for k in classes),
+            sources=tuple(tuple(pos[v] for v, _ in coms[k].supply) for k in classes),
+            dst=int(dst[m]),
+            arcs=MappingProxyType({q: tuple(entries) for q, entries in by_state.items()}),
+            x_keys=tuple([x_keys[i] for i in xs.tolist()]),
+            x_cells=x_cols[xa[xs], m] * n + rank[xk[xs]],
+            b_keys=tuple([b_keys[i] for i in bs.tolist()]),
+            b_cells=((ct[bs] - gen[m]) * n_nodes + cv[bs]) * n + rank[ck[bs]],
+        ))
+
     layout = _Layout(
-        x_index=MappingProxyType(dict(zip(x_keys, range(n_x)))),
-        b_index=MappingProxyType(dict(zip(b_keys, range(n_x, s_base)))),
-        slack_index=MappingProxyType(slack_index),
+        groups=groups,
+        group_of=group_of,
+        x_index=MappingProxyType(dict(zip(x_keys, x_cols[xa, group_of[xk]].tolist()))),
+        b_index=MappingProxyType(dict(zip(b_keys, b_cols[ct, cv, group_of[ck]].tolist()))),
+        slack_index=MappingProxyType(
+            {k: s_base + int(group_of[k]) for k in range(n_coms)} if soft else {}
+        ),
         objective=objective,
         a_eq=_matrix(eq, n_eq, n_vars),
         a_ub=_matrix(ub, n_ub, n_vars),
         n_eq=n_eq,
-        supply_rows=first[sup_com] + sup_node,
+        supply_rows=first[sup_grp] + (sup_t - gen[sup_grp]) * n_nodes + sup_node,
+        bounded=bounded,
+        bound_cols=b_cols[sup_t[bounded], sup_node[bounded], sup_grp[bounded]],
         fin_rows=fin_row + (0 if soft else dst),
-        ddl_classes=ddl_com,
+        ddl_groups=ddl_com,
         b_ub=np.concatenate(ub_rhs),
+        merges=tuple(merges),
     )
-    for array in (layout.objective, layout.supply_rows, layout.fin_rows,
-                  layout.ddl_classes, layout.b_ub):
+    for array in (layout.group_of, layout.objective, layout.supply_rows, layout.bounded,
+                  layout.bound_cols, layout.fin_rows, layout.ddl_groups, layout.b_ub,
+                  *(a for merge in merges for a in (merge.x_cells, merge.b_cells))):
         array.flags.writeable = False
     for matrix in (layout.a_eq, layout.a_ub):
         if matrix is not None:
@@ -565,16 +720,16 @@ class LpSession:
 
     A problem that holds the very objective and matrix objects last
     loaded, as every problem built from one layout does, is solved warm:
-    only the changed row bounds are passed, and the dual simplex restarts
-    from the last basis, which a change of right-hand sides leaves dual
-    feasible. Any other problem is loaded into a fresh solver and solved
-    cold.
+    only the changed row and column bounds are passed, and the dual
+    simplex restarts from the last basis, which a change of right-hand
+    sides and bounds leaves dual feasible. Any other problem is loaded into
+    a fresh solver and solved cold.
     """
 
     def __init__(self):
         self._highs = None
         self._structure = None  # the loaded (objective, a_ub, a_eq)
-        self._row_lower = self._row_upper = None
+        self._row_lower = self._row_upper = self._col_lower = None
 
     def _load(self, problem: LpProblem):
         """The solver holding `problem`, warm when it holds the loaded
@@ -589,21 +744,27 @@ class LpSession:
             changed = np.flatnonzero((lower != self._row_lower) | (upper != self._row_upper))
             for row in changed.tolist():
                 self._highs.changeRowBounds(row, lower[row], upper[row])
+            changed = np.flatnonzero(problem.col_lower != self._col_lower)
+            for col in changed.tolist():
+                self._highs.changeColBounds(col, problem.col_lower[col], highs.kHighsInf)
         else:
-            self._highs = _cold_solver(problem.objective, structure[1:], lower, upper)
+            self._highs = _cold_solver(problem, lower, upper)
             self._structure = structure
         self._row_lower, self._row_upper = lower, upper
+        self._col_lower = problem.col_lower
         return self._highs
 
 
-def _cold_solver(objective: np.ndarray, matrices, lower: np.ndarray, upper: np.ndarray):
-    """A new HiGHS instance loaded with the rows a_ub then a_eq, x >= 0."""
-    a = vstack([m for m in matrices if m is not None], format="csc")
+def _cold_solver(problem: LpProblem, lower: np.ndarray, upper: np.ndarray):
+    """A new HiGHS instance loaded with the rows a_ub then a_eq and the
+    problem's column lower bounds."""
+    objective = problem.objective
+    a = vstack([m for m in (problem.a_ub, problem.a_eq) if m is not None], format="csc")
     lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = len(objective)
     lp.num_row_ = lp.a_matrix_.num_row_ = len(lower)
     lp.col_cost_ = objective
-    lp.col_lower_ = np.zeros(len(objective))
+    lp.col_lower_ = problem.col_lower
     lp.col_upper_ = np.full(len(objective), highs.kHighsInf)
     lp.row_lower_ = lower
     lp.row_upper_ = upper
@@ -620,12 +781,14 @@ def _cold_solver(objective: np.ndarray, matrices, lower: np.ndarray, upper: np.n
     return solver
 
 
-def _within_bounds(x, rows, row_lower: np.ndarray, row_upper: np.ndarray) -> bool:
-    """Whether x >= 0 and every row activity lies within its bounds, to
-    _ACCEPT_TOL; NaN fails."""
+def _within_bounds(
+    x, rows, row_lower: np.ndarray, row_upper: np.ndarray, col_lower: np.ndarray | float = 0.0
+) -> bool:
+    """Whether x >= col_lower and every row activity lies within its
+    bounds, to _ACCEPT_TOL; NaN fails."""
     x, rows = np.asarray(x), np.asarray(rows)
     return bool(
-        np.all(x >= -_ACCEPT_TOL)
+        np.all(x >= col_lower - _ACCEPT_TOL)
         and np.all((rows >= row_lower - _ACCEPT_TOL) & (rows <= row_upper + _ACCEPT_TOL))
     )
 
@@ -634,10 +797,11 @@ def solve_lp(problem: LpProblem, session: LpSession | None = None) -> LpSolution
     """Solve the assembled model with HiGHS.
 
     With a session, the model stays loaded and a later problem that
-    differs only in right-hand sides is solved warm. Returns an optimal
-    solution or an explicit infeasible status; any other solver outcome,
-    or an optimum outside its bounds by more than _ACCEPT_TOL, raises
-    LpSolverError.
+    differs only in right-hand sides and column bounds is solved warm.
+    Returns an optimal solution, keyed per class (a merged commodity's
+    optimum is split back into its classes, see `_split`), or an explicit
+    infeasible status; any other solver outcome, or an optimum outside its
+    bounds by more than _ACCEPT_TOL, raises LpSolverError.
     """
     if problem.n_vars == 0:
         return LpSolution(status="optimal", objective=0.0)
@@ -651,17 +815,83 @@ def solve_lp(problem: LpProblem, session: LpSession | None = None) -> LpSolution
         raise LpSolverError(f"solver failure: {solver.modelStatusToString(status)}")
     result = solver.getSolution()
     x = result.col_value
-    if not _within_bounds(x, result.row_value, session._row_lower, session._row_upper):
+    if not _within_bounds(
+        x, result.row_value, session._row_lower, session._row_upper, problem.col_lower
+    ):
         raise LpSolverError(
             f"solver reported an optimum outside the bounds by more than {_ACCEPT_TOL:.2e}"
         )
-    return LpSolution(
+    solution = LpSolution(
         status="optimal",
         objective=solver.getInfo().objective_function_value,
         x_flows={key: x[col] for key, col in problem.x_index.items()},
         buffers={key: x[col] for key, col in problem.b_index.items()},
         slacks={k: x[col] for k, col in problem.slack_index.items()},
     )
+    for merge in problem._merges:
+        _split(problem, merge, x, solution)
+    return solution
+
+
+def _split(problem: LpProblem, merge: _Merge, x: list[float], solution: LpSolution) -> None:
+    """Overwrite the merged commodity's values in `solution` with its
+    per-class flows, buffers and slacks, split by generation FIFO.
+
+    State by state from the group's generation, each node's stock is kept
+    per class. A node splits its outflow in a state once all its inflows
+    of that state are split, in arc order: each arc takes the oldest stock
+    first, and the youngest class that may move in that state (generated
+    before it) takes whatever the stock lacks, which is solver noise only,
+    since the injection bounds keep the merged stock from running short.
+    A class's supply joins the stock after its generation state's flows,
+    so it never leaves in that state. Flows below zero are solver noise
+    and stay unsplit at zero.
+    """
+    coms = problem.commodities
+    n_nodes, n = len(problem.plan.node_ids), len(merge.classes)
+    inject: dict[int, list[tuple[int, int, float]]] = {}
+    for c, k in enumerate(merge.classes):
+        for v, (_, amount) in zip(merge.sources[c], coms[k].supply):
+            inject.setdefault(merge.gens[c], []).append((c, v, amount))
+    flows = np.zeros(len(x) * n)
+    stock = [[0.0] * n for _ in range(n_nodes)]
+    held = []
+    for t in range(merge.gens[0], problem.plan.grid.state_count + 1):
+        live = bisect_left(merge.gens, t)  # the classes generated before t
+        out: dict[int, list[tuple[int, float, int]]] = {}
+        waiting = [0] * n_nodes  # unsplit inflows of each node in state t
+        for col, v, w in merge.arcs.get(t, ()):
+            if x[col] > 0.0:
+                out.setdefault(v, []).append((col, x[col], w))
+                waiting[w] += 1
+        ready = [v for v in out if not waiting[v]]
+        while out:
+            # An optimum carries no cycle of flow within a state (cancelling
+            # it keeps every row and lowers the cost), so `ready` runs dry
+            # only on a cycle of solver noise; splitting its lowest node
+            # first errs by that noise.
+            v = ready.pop() if ready else min(out)
+            pool = stock[v]
+            for col, value, w in out.pop(v):
+                c = 0
+                while value > 0.0:
+                    take = value if c == live - 1 else min(value, max(pool[c], 0.0))
+                    flows[col * n + c] = take
+                    pool[c] -= take
+                    stock[w][c] += take
+                    value -= take
+                    c += 1
+                waiting[w] -= 1
+                if not waiting[w] and w in out:
+                    ready.append(w)
+        for c, v, amount in inject.get(t, ()):
+            stock[v][c] += amount
+        held.append([list(at_node) for at_node in stock])
+    solution.x_flows.update(zip(merge.x_keys, flows[merge.x_cells].tolist()))
+    solution.buffers.update(zip(merge.b_keys, np.ravel(held)[merge.b_cells].tolist()))
+    if problem.soft:
+        for c, k in enumerate(merge.classes):
+            solution.slacks[k] = coms[k].amount - stock[merge.dst][c]
 
 
 def verify_solution(
@@ -859,6 +1089,11 @@ def problem_to_lp_text(problem: LpProblem) -> str:
             row = matrix.getrow(i)
             coefs = list(zip(row.indices.tolist(), row.data.tolist()))
             lines.append(f" {name}: " + _lp_expr(coefs, problem.var_names) + f" {sense} {_fmt_coef(rhs[i])}")
+    bounded = np.flatnonzero(problem.col_lower).tolist()
+    if bounded:
+        lines.append("Bounds")
+        names, lower = problem.var_names, problem.col_lower
+        lines += [f" {names[col]} >= {_fmt_coef(lower[col])}" for col in bounded]
     lines.append("End")
     return "\n".join(lines) + "\n"
 

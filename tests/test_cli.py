@@ -24,6 +24,23 @@ def demands_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def perstate_demands_file(tmp_path):
+    """Traffic injected in states 1 and 2, as the per-state study injects
+    it: node 1's two no-deadline classes and node 2's two classes due at
+    t = 20 each merge into one model commodity."""
+    path = tmp_path / "perstate.json"
+    path.write_text(
+        demands_to_json([
+            Demand(1, 3, 0.0, float("inf"), 4),
+            Demand(1, 3, 10.0, float("inf"), 4),
+            Demand(2, 3, 0.0, 20.0, 4),
+            Demand(2, 3, 10.0, 10.0, 4),
+        ])
+    )
+    return path
+
+
 def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
@@ -120,7 +137,9 @@ def test_sim_deltime_metrics(plan_file, demands_file, capsys):
     assert doc["dropped"] == 10
 
 
-def test_lp_solves_verifies_and_saves(plan_file, demands_file, capsys, tmp_path):
+def test_lp_solves_verifies_and_saves(
+    plan_file, demands_file, perstate_demands_file, capsys, tmp_path
+):
     lp_text = tmp_path / "model.lp"
     flows = tmp_path / "flows.csv"
     saved = tmp_path / "solution.json"
@@ -136,6 +155,32 @@ def test_lp_solves_verifies_and_saves(plan_file, demands_file, capsys, tmp_path)
     assert lp_text.read_text().startswith("Minimize")
     assert flows.read_text().startswith("state,contact")
     assert saved.exists()
+
+    # Per-state traffic: four classes, two model commodities. The export
+    # shows the merged model; the flows CSV and the saved solution stay
+    # per class.
+    code, out, _ = run_cli(
+        capsys, "lp", "--soft", "--plan", plan_file, "--demands", perstate_demands_file,
+        "--export-lp", lp_text, "--flows-csv", flows, "--save-solution", saved,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["objective"] == pytest.approx(4 * 2 + 4 * 2 + 8 * 3)
+    assert doc["delivery_ratio"] == 1.0
+    text = lp_text.read_text()
+    assert "_k1" in text and "_k2" not in text
+    # The state-1 class at node 1 is bounded at its generation timestamp.
+    assert "Bounds\n B_t1_n1_k0 >= 4\n" in text
+    rows = flows.read_text().strip().split("\n")[1:]
+    assert {row.split(",")[4] for row in rows} >= {"1", "2", "3"}
+    # Each deadline class crosses contact 2 in state 2 with its own units.
+    by_class = {row.split(",")[4]: row for row in rows if row.startswith("2,2,")}
+    assert by_class["2"].startswith("2,2,2,3,2,2,3,0.0,20.0,4.0")
+    assert by_class["3"].startswith("2,2,2,3,3,2,3,10.0,10.0,4.0")
+    solution = json.loads(saved.read_text())
+    assert {k for _, _, k, _ in solution["x"]} >= {1, 2, 3}
+    assert {k for _, _, k, _ in solution["b"]} == {0, 1, 2, 3}
+    assert [k for k, _ in solution["slack"]] == [0, 1, 2, 3]
 
 
 def test_lp_reports_infeasible(plan_file, tmp_path, capsys):
@@ -161,16 +206,22 @@ def test_lp_deadline_past_a_subnormal_grid_clamps_to_its_end(tmp_path, capsys):
     assert doc["delivery_ratio"] == 1.0
 
 
-def test_verify_accepts_saved_solution(plan_file, demands_file, tmp_path, capsys):
+def test_verify_accepts_saved_solution(
+    plan_file, demands_file, perstate_demands_file, tmp_path, capsys
+):
+    # The per-state solution is split back from a merged model; verify
+    # re-checks it against the per-class model.
     saved = tmp_path / "solution.json"
-    run_cli(capsys, "lp", "--plan", plan_file, "--demands", demands_file,
-            "--save-solution", saved)
-    code, out, _ = run_cli(
-        capsys, "verify", "--plan", plan_file, "--demands", demands_file,
-        "--solution", saved,
-    )
-    assert code == 0
-    assert json.loads(out) == {"violations": 0}
+    for demands, flags in ((demands_file, []), (perstate_demands_file, ["--soft"])):
+        code, _, _ = run_cli(capsys, "lp", *flags, "--plan", plan_file, "--demands", demands,
+                             "--save-solution", saved)
+        assert code == 0
+        code, out, _ = run_cli(
+            capsys, "verify", *flags, "--plan", plan_file, "--demands", demands,
+            "--solution", saved,
+        )
+        assert code == 0
+        assert json.loads(out) == {"violations": 0}
 
 
 def test_verify_rejects_tampered_solution(plan_file, demands_file, tmp_path, capsys):
@@ -248,14 +299,12 @@ def test_lp_rejects_a_weight_exponent_without_increasing_weights(
     one_contact_plan, tmp_path, capsys, exponent
 ):
     demands = _one_packet(tmp_path, "null")
-    for command in ("lp", "verify"):
-        extra = ["--solution", tmp_path / "missing.json"] if command == "verify" else []
-        code, out, err = run_cli(
-            capsys, command, "--plan", one_contact_plan, "--demands", demands,
-            "--weight-exponent", exponent, *extra,
-        )
-        assert (code, out) == (1, "")
-        assert err.startswith("error: weight exponent")
+    code, out, err = run_cli(
+        capsys, "lp", "--plan", one_contact_plan, "--demands", demands,
+        "--weight-exponent", exponent,
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: weight exponent")
 
 
 @pytest.mark.parametrize("exponent", [0.0, float("nan"), 400.0])

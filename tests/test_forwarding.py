@@ -64,17 +64,17 @@ def test_select_route_policies(n1_table, ledger):
     routes = n1_table.routes_for(3)
     # The order the table lists its routes in does not matter.
     for listed in (routes, routes[::-1]):
-        table = RouteTable(1, 2, n1_table.grid, {3: list(listed)})
+        table = RouteTable(1, n1_table.grid, {3: list(listed)})
         choices = _choices(table, Packet(1, 1, 3, 0.0, math.inf), 0.0, ledger)
         assert choices[Policy.DELTIME].contacts == (1, 2)
         assert choices[Policy.HOPS].contacts == (3,)
-    empty = RouteTable(1, 2, n1_table.grid, {3: []})
+    empty = RouteTable(1, n1_table.grid, {3: []})
     assert forward_or_drop(Packet(1, 1, 3, 0.0), empty, 0.0, ledger, Policy.DELTIME) is None
 
 
 def test_select_route_singleton_agreement(n1_table, ledger):
     for r in n1_table.routes_for(3):
-        table = RouteTable(1, 2, n1_table.grid, {3: [r]})
+        table = RouteTable(1, n1_table.grid, {3: [r]})
         choices = _choices(table, Packet(1, 1, 3, 0.0, math.inf), 0.0, ledger)
         assert choices[Policy.DELTIME] == choices[Policy.HOPS] == r
 
@@ -105,7 +105,7 @@ def test_hops_choice_never_uses_more_hops(pairs):
     routes = [
         _route((i + 1,), delivery, hops) for i, (delivery, hops) in enumerate(pairs)
     ]
-    table = RouteTable(1, 4, StateGrid(10, 10.0), {3: routes})
+    table = RouteTable(1, StateGrid(10, 10.0), {3: routes})
     ledger = CapacityLedger({i + 1: 10 for i in range(len(routes))})
     choices = _choices(table, Packet(1, 1, 3, 0.0), 0.0, ledger)
     assert choices[Policy.HOPS].hops <= choices[Policy.DELTIME].hops

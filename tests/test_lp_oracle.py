@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from cgrlab.contact_plan import (
@@ -465,6 +465,75 @@ def test_windowed_model_matches_the_full_model(seed, soft):
     _assert_matches_the_full_model(plan, demands_to_commodities(demands), soft)
 
 
+@given(seed=st.integers(0, 2**32 - 1), soft=st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_merged_commodities_match_one_commodity_per_class(seed, soft):
+    # Random small plans with finite buffers (0 included), classes of one
+    # destination generated at several states, with no deadline or with
+    # one shared deadline, each fed by one or more sources. build_lp
+    # merges each (dst, deadline) group; solve_full_lp keeps one commodity
+    # per class. Run with --hypothesis-show-statistics for the share of
+    # examples with each kind of merged group, and of optimal ones.
+    rng = random.Random(seed)
+    base = random_small_plan(rng, max_contacts=40)
+    nodes = [NodeSpec(n.node_id, rng.choice([math.inf, math.inf, 0.0, 8.0, 30.0]))
+             for n in base.nodes]
+    plan = ContactPlan(base.grid, nodes, list(base.contacts))
+    grid = plan.grid
+    dst = rng.choice(sorted(plan.node_ids))
+    others = sorted(plan.node_ids - {dst})
+    deadline = grid.state_start(rng.randint(1, grid.state_count)) + rng.choice([0.0, 10.0, 30.0])
+    states = rng.sample(range(1, grid.state_count + 1), rng.randint(2, min(3, grid.state_count)))
+    demands = [
+        Demand(src, dst, t_gen, ttl, rng.randint(1, 2))
+        for t_gen in map(grid.state_start, states)
+        for ttl in (math.inf, deadline - t_gen)
+        if ttl >= 0 and rng.random() < 0.8
+        for src in rng.sample(others, rng.randint(1, len(others)))
+    ]
+    if not demands:
+        return
+    commodities = demands_to_commodities(demands)
+    problem = build_lp(plan, commodities, soft=soft)
+    merged_ttls = [commodities[g[0]].ttl for g in problem.groups if len(g) > 1]
+    event(f"merged no-deadline group: {any(map(math.isinf, merged_ttls))}")
+    event(f"merged shared-deadline group: {any(map(math.isfinite, merged_ttls))}")
+    solution = _assert_matches_the_full_model(plan, commodities, soft)
+    event(f"{'soft' if soft else 'hard'} model: {solution.status}")
+
+
+def test_merged_model_needs_the_injection_bound():
+    # The class generated at t = 10 may not leave node 1 in state 1, the
+    # only state with a contact: the per-class model delivers only the
+    # class generated at t = 0. Without the lower bound on its buffer at
+    # t = 1, the merged model would let it leave on the state-1 contact.
+    plan = parse_contact_plan("plan 2 10\nnode 1 inf\nnode 2 inf\ncontact 1 1 2 0 10 10\n")
+    commodities = [
+        Commodity(2, 0.0, math.inf, ((1, 1.0),)),
+        Commodity(2, 10.0, math.inf, ((1, 5.0),)),
+    ]
+    assert build_lp(plan, commodities).groups == ((0, 1),)
+    assert solve_lp(build_lp(plan, commodities)).status == "infeasible"
+    solution = _assert_matches_the_full_model(plan, commodities, soft=True)
+    assert solution.slacks == {0: pytest.approx(0.0, abs=TOL), 1: pytest.approx(5.0)}
+    assert solution.objective == pytest.approx(1.0 + 5.0 * 20.0)
+
+
+def test_the_split_sends_the_oldest_units_first():
+    # Both classes wait at node 1 for the one state-2 contact, which
+    # carries 3 of their 4 units: the class generated at t = 0 leaves
+    # first, and the one generated at t = 10 drops the unit left over.
+    plan = parse_contact_plan("plan 2 10\nnode 1 inf\nnode 2 inf\ncontact 1 1 2 10 20 3\n")
+    commodities = [
+        Commodity(2, 0.0, math.inf, ((1, 2.0),)),
+        Commodity(2, 10.0, math.inf, ((1, 2.0),)),
+    ]
+    solution = _assert_matches_the_full_model(plan, commodities, soft=True)
+    assert solution.x_flows == {(1, 2, 0): pytest.approx(2.0), (1, 2, 1): pytest.approx(1.0)}
+    assert solution.slacks == {0: pytest.approx(0.0, abs=TOL), 1: pytest.approx(1.0)}
+    assert solution.buffers[(1, 1, 1)] == pytest.approx(2.0)
+
+
 def test_soft_expired_class_still_moves_to_free_a_finite_buffer():
     # Class 0 cannot meet its deadline and stays stranded at node 1. When
     # class 1 appears there at t = 20, the 10-packet buffer only holds both
@@ -530,6 +599,9 @@ def _model_digests(problem) -> dict[str, str]:
                 if matrix is None
                 else digest(np.asarray(getattr(matrix, part), dtype=dtype).tobytes())
             )
+    # Only a model with merged classes bounds columns below.
+    if problem.col_lower.any():
+        out["col_lower"] = digest(np.asarray(problem.col_lower, dtype=np.float64).tobytes())
     return out
 
 
@@ -547,7 +619,12 @@ def _buffered_three_node_plan():
 # in the burst study, 20 instead of 100 per state. All three models with
 # commodities were re-captured again when each class got its window: no
 # buffers before its generation timestamp, and no flow after its deadline
-# (the ttl-20 classes). The model without commodities did not move.
+# (the ttl-20 classes). The model without commodities did not move. The
+# per-state model was re-captured once more when classes sharing
+# (dst, deadline) became one model commodity: its ten no-deadline classes
+# merge into one, so 11 commodities instead of 20, with lower bounds on the
+# buffer columns of its later injections. The other models have one class
+# per group and did not move.
 _EMPTY = "e3b0c44298fc1c14"
 PINNED_MODELS = {
     "study-seed1-load5-hard": (
@@ -572,18 +649,19 @@ PINNED_MODELS = {
         lambda: _study_inputs(2, 3, "per-state"),
         True,
         {
-            "var_names": "25391e1cd428e142",
-            "eq_names": "fbd2bf9e226e01d1",
-            "ub_names": "dc181f1facd554ba",
-            "objective": "75a10050e6d026cb",
-            "b_eq": "cc91dfb973c460df",
+            "var_names": "f517c2f718316a4b",
+            "eq_names": "2dde11e27eb2540b",
+            "ub_names": "998f5a3d3c9782dc",
+            "objective": "454fe8598e14a2b7",
+            "b_eq": "659325f04be4e480",
             "b_ub": "840105d50052afe8",
-            "a_eq.indptr": "b9ad203002eeb4ad",
-            "a_eq.indices": "afa394c58375ff29",
-            "a_eq.data": "ff9de6678fefad5d",
-            "a_ub.indptr": "d7f0541a01a9a00f",
-            "a_ub.indices": "76bbf2cec398dc88",
-            "a_ub.data": "9fca9af44b5c4227",
+            "a_eq.indptr": "26b7ab4e775e8cd0",
+            "a_eq.indices": "0d63ca71293a573a",
+            "a_eq.data": "6226020f4092d343",
+            "a_ub.indptr": "346dd6715eaf54fa",
+            "a_ub.indices": "cfec34a42144cb18",
+            "a_ub.data": "6fcaf292c58008ae",
+            "col_lower": "fd03df913d29b7a3",
         },
     ),
     "three-node-finite-buffer": (
@@ -651,6 +729,24 @@ def test_session_matches_fresh_solves_from_feasible_to_infeasible_and_back():
     assert statuses == ["optimal", "infeasible"] * 3 + ["optimal"]
     # Only the right-hand sides changed, so every load reused one model.
     assert all(solver is solvers[0] for solver in solvers)
+
+
+def test_session_changes_the_injection_bounds_of_a_merged_model_warm():
+    # Per-state loads change the merged model's column bounds as well as
+    # its right-hand sides; one loaded model serves them all.
+    plan, _ = _study_inputs(4, 1, "per-state")
+    session = LpSession()
+    for load in (2, 5, 1, 3):
+        _, commodities = _study_inputs(4, load, "per-state")
+        problem = build_lp(plan, commodities, soft=True)
+        assert problem.col_lower.max() == load
+        warm = solve_lp(problem, session)
+        if load == 2:
+            loaded = session._highs
+        cold = solve_lp(problem)
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+        assert verify_solution(problem, warm, TOL) == []
+    assert session._highs is loaded
 
 
 def _rewired(plan):
