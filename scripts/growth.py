@@ -8,13 +8,19 @@ seed 1..N, and the study's burst traffic at its top load: nodes 1-5 send
 deadline, all to the highest-numbered node. On each plan it times, in
 this order:
 
+* `parse_contact_plan` on the plan's serialized text; the parsed plan is
+  the one the later layers use, so its caches start empty;
 * `build_route_tables`: every node's k = 4 routes toward the destination,
-  as a sweep builds them (the plan is fresh, so its caches fill here);
+  as a sweep builds them (the plan's caches fill here);
 * `run_simulation` for each policy, on those tables;
-* `build_lp` plus a cold `solve_lp` of the hard model.
+* `build_lp` of the hard model, then its cold `solve_lp`;
+* `verify_solution` on the hard optimum, when the model has one; an
+  optimum that does not certify stops the script with an error.
 
-Plan generation is not timed. Prints one line per size with the median
-wall time per plan of each layer, in seconds.
+Plan generation and serialization are not timed. Prints one line per size
+with the median wall time per plan of each layer, in seconds; the verify
+median is over the plans with a hard optimum, and reads nan when no plan
+has one (`optimal` counts them).
 
     python3 scripts/growth.py                       # 11x10 to 40x40
     python3 scripts/growth.py --sizes 11x10 --seeds 3
@@ -30,9 +36,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cgrlab.contact_graph import build_route_tables
-from cgrlab.contact_plan import StateGrid, TopologyConfig, generate_random_topology
+from cgrlab.contact_plan import (
+    StateGrid,
+    TopologyConfig,
+    generate_random_topology,
+    parse_contact_plan,
+    serialize_contact_plan,
+)
 from cgrlab.forwarding import Policy
-from cgrlab.lp_oracle import build_lp, demands_to_commodities, solve_lp
+from cgrlab.lp_oracle import build_lp, demands_to_commodities, solve_lp, verify_solution
 from cgrlab.simulator import Demand, run_simulation
 
 LOAD = 5
@@ -65,8 +77,9 @@ def main() -> int:
     if args.seeds < 1:
         parser.error("--seeds must be >= 1")
 
-    layers = ("tables_s", "deltime_s", "hops_s", "lp_s")
-    print(",".join(("size", "contacts_median", *(f"{name}_median" for name in layers))))
+    layers = ("parse_s", "tables_s", "deltime_s", "hops_s", "build_lp_s", "solve_lp_s", "verify_s")
+    print(",".join(("size", "contacts_median", "optimal",
+                    *(f"{name}_median" for name in layers))))
     for nodes, states in args.sizes:
         demands = [
             Demand(src, nodes, 0.0, math.inf if src <= 5 else 20.0, LOAD) for src in range(1, 11)
@@ -74,21 +87,31 @@ def main() -> int:
         commodities = demands_to_commodities(demands)
         contacts, times = [], {name: [] for name in layers}
         for seed in range(1, args.seeds + 1):
-            plan = generate_random_topology(
+            text = serialize_contact_plan(generate_random_topology(
                 TopologyConfig(nodes, 0.2, 10, StateGrid(states, 10.0), seed)
-            )
+            ))
+            plan, elapsed = timed(parse_contact_plan, text)
+            times["parse_s"].append(elapsed)
             contacts.append(len(plan.contacts))
             tables, elapsed = timed(build_route_tables, plan, 4, {nodes})
             times["tables_s"].append(elapsed)
             for policy in Policy:
                 _, elapsed = timed(run_simulation, plan, demands, policy, 4, tables)
                 times[f"{policy.value}_s"].append(elapsed)
-            t0 = time.perf_counter()
-            solve_lp(build_lp(plan, commodities))
-            times["lp_s"].append(time.perf_counter() - t0)
-        medians = (f"{statistics.median(times[name]):.4f}" for name in layers)
-        print(",".join((f"{nodes}x{states}", str(statistics.median_low(contacts)), *medians)),
-              flush=True)
+            problem, elapsed = timed(build_lp, plan, commodities)
+            times["build_lp_s"].append(elapsed)
+            solution, elapsed = timed(solve_lp, problem)
+            times["solve_lp_s"].append(elapsed)
+            if solution.status == "optimal":
+                violations, elapsed = timed(verify_solution, problem, solution)
+                if violations:
+                    raise SystemExit(f"{nodes}x{states} seed {seed}: {violations[0]}")
+                times["verify_s"].append(elapsed)
+        medians = (
+            f"{statistics.median(times[name]):.4f}" if times[name] else "nan" for name in layers
+        )
+        print(",".join((f"{nodes}x{states}", str(statistics.median_low(contacts)),
+                        str(len(times["verify_s"])), *medians)), flush=True)
     return 0
 
 

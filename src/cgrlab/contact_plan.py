@@ -332,6 +332,55 @@ class Diagnostic:
 _TOKEN_RE = re.compile(r"\S+")
 
 
+class _FieldError(Exception):
+    """A record's token is malformed; the parser adds line and column."""
+
+
+def _integer(token: str, name: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise _FieldError(f"{name} must be an integer, got {token!r}") from None
+
+
+def _number(token: str, name: str) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise _FieldError(f"{name} must be a number, got {token!r}") from None
+    if not math.isfinite(value):
+        raise _FieldError(f"{name} must be a finite number, got {token!r}")
+    return value
+
+
+def _buffer(token: str, name: str) -> float:
+    if token == "inf":
+        return math.inf
+    try:
+        return float(_integer(token, name))
+    except OverflowError:
+        raise _FieldError(f"{name} is too large") from None
+
+
+# Each record's usage and the name and reader of each field after its
+# keyword, in order; the fields build a StateGrid, NodeSpec or Contact.
+_RECORDS = {
+    "plan": (
+        "plan <state_count> <state_duration_s>",
+        (("state_count", _integer), ("state_duration", _number)),
+    ),
+    "node": (
+        "node <id> <buffer_capacity|inf>",
+        (("node id", _integer), ("buffer_capacity", _buffer)),
+    ),
+    "contact": (
+        "contact <id> <from> <to> <start_s> <end_s> <capacity>",
+        (("contact id", _integer), ("from", _integer), ("to", _integer),
+         ("start", _number), ("end", _number), ("capacity", _integer)),
+    ),
+}
+
+
 def _fmt_seconds(x: float) -> str:
     if x == int(x):
         return str(int(x))
@@ -351,70 +400,37 @@ def parse_contact_plan(text: str) -> ContactPlan:
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        tokens = [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
+        tokens = line.split()
         if not tokens:
             continue
-
-        kind, col = tokens[0]
-
-        def fail(message: str, column: int = col) -> PlanSyntaxError:
-            return PlanSyntaxError(lineno, column, message)
-
-        def want(n: int, usage: str) -> list[tuple[str, int]]:
-            if len(tokens) != n + 1:
-                raise fail(f"expected `{usage}`")
-            return tokens[1:]
-
-        def to_int(tok: tuple[str, int], name: str) -> int:
-            try:
-                return int(tok[0])
-            except ValueError:
-                raise fail(f"{name} must be an integer, got {tok[0]!r}", tok[1]) from None
-
-        def to_float(tok: tuple[str, int], name: str) -> float:
-            try:
-                value = float(tok[0])
-            except ValueError:
-                raise fail(f"{name} must be a number, got {tok[0]!r}", tok[1]) from None
-            if not math.isfinite(value):
-                raise fail(f"{name} must be a finite number, got {tok[0]!r}", tok[1])
-            return value
-
-        if kind == "plan":
-            if grid is not None:
-                raise fail("duplicate plan header")
-            args = want(2, "plan <state_count> <state_duration_s>")
-            count = to_int(args[0], "state_count")
-            duration = to_float(args[1], "state_duration")
-            try:
-                grid = StateGrid(count, duration)
-            except ValueError as e:
-                raise fail(str(e)) from None
-        elif kind == "node":
-            args = want(2, "node <id> <buffer_capacity|inf>")
-            node_id = to_int(args[0], "node id")
-            if args[1][0] == "inf":
-                buffer_capacity = math.inf
-            else:
+        kind = tokens[0]
+        at = 0  # the token an error points at
+        try:
+            if kind not in _RECORDS:
+                raise _FieldError(f"unknown record type {kind!r}")
+            if kind == "plan" and grid is not None:
+                raise _FieldError("duplicate plan header")
+            usage, fields = _RECORDS[kind]
+            if len(tokens) != len(fields) + 1:
+                raise _FieldError(f"expected `{usage}`")
+            values = []
+            for at, (name, read) in enumerate(fields, start=1):
+                values.append(read(tokens[at], name))
+            at = 0
+            if kind == "plan":
                 try:
-                    buffer_capacity = float(to_int(args[1], "buffer_capacity"))
-                except OverflowError:
-                    raise fail("buffer_capacity is too large", args[1][1]) from None
-            nodes.append(NodeSpec(node_id, buffer_capacity))
-        elif kind == "contact":
-            args = want(6, "contact <id> <from> <to> <start_s> <end_s> <capacity>")
-            contacts.append(
-                Contact(
-                    contact_id=to_int(args[0], "contact id"),
-                    from_node=to_int(args[1], "from"),
-                    to_node=to_int(args[2], "to"),
-                    start=to_float(args[3], "start"),
-                    end=to_float(args[4], "end"),
-                    capacity=to_int(args[5], "capacity"),
-                )
-            )
-        else:
-            raise fail(f"unknown record type {kind!r}")
+                    grid = StateGrid(*values)
+                except ValueError as e:
+                    raise _FieldError(str(e)) from None
+            elif kind == "node":
+                nodes.append(NodeSpec(*values))
+            else:
+                contacts.append(Contact(*values))
+        except _FieldError as e:
+            # The column is worked out only here, from the same whitespace
+            # split: str.split and \S+ agree on what whitespace is.
+            column = [m.start() + 1 for m in _TOKEN_RE.finditer(line)][at]
+            raise PlanSyntaxError(lineno, column, str(e)) from None
 
     if grid is None:
         raise PlanSyntaxError(1, 1, "missing plan header")

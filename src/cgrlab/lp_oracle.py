@@ -106,24 +106,33 @@ bounds from the supplies. A sweep, whose loads change only the amounts,
 so builds each seed's layout once.
 
 `solve_lp` hands the model to HiGHS through the binding scipy bundles
-(`scipy.optimize._highspy`), with the rows in `a_ub`, `a_eq` order and the
-dual simplex, the settings `scipy.optimize.linprog` uses, so a cold solve
-returns the same optimum. An `LpSession` keeps the model loaded: a sweep
-solves one seed's loads through one session. A problem built from the
-loaded layout holds the very objective and matrix objects the session
-loaded; identity is the whole test, and only such a problem is solved
-warm, by passing its new right-hand sides and column bounds. The dual
-simplex then restarts
-from the previous basis, which stays dual feasible (Huangfu & Hall,
-"Parallelizing the dual revised simplex method", Math. Prog. Comp. 2018).
-Status and objective do not depend on the start, but when several optima
-tie, a warm solve may return another one, so the hops, delay and energy
-read off it may differ from a cold solve's.
+(`scipy.optimize._highspy`), with the dual simplex, the setting
+`scipy.optimize.linprog` uses, so a cold solve returns the same optimum.
+The layout holds the constraints as one column-wise matrix -- int32
+column starts and row indices and float64 values, the inequality rows
+first, then the equalities, row indices sorted within each column --
+together with the row and column bound templates. A cold solve passes
+all of it in one call to the binding's array `passModel`, so no entry is
+converted one at a time. `LpProblem.a_ub` and `a_eq` are row-wise views
+of the same matrix, derived once per layout on first use; the LP text
+export reads them. An `LpSession` keeps the model
+loaded: a sweep solves one seed's loads through one session. A problem
+built from the loaded layout holds its very objective and matrix;
+identity is the whole test, and only such a problem is solved warm, by
+passing its new right-hand sides and column bounds. The dual simplex
+then restarts from the previous basis, which stays dual feasible
+(Huangfu & Hall, "Parallelizing the dual revised simplex method", Math.
+Prog. Comp. 2018). Status and objective do not depend on the start, but
+when several optima tie, a warm solve may return another one, so the
+hops, delay and energy read off it may differ from a cold solve's. The
+optimum is read out per index map in one array gather.
 
 `verify_solution` independently re-derives every constraint of the
 full, unwindowed, per-class model from the raw plan and commodity data,
 reading missing variables as zero, so a certified solution never depends
-on the solver, the windows, the merge or the split being right.
+on the solver, the windows, the merge or the split being right. It
+checks whole arrays, not the assembled matrix: it never reads the
+layout, the matrices or the column numbers.
 
 The optional soft mode adds one nonnegative drop slack per commodity with
 a large penalty (horizon times arc count), turning infeasible instances
@@ -140,12 +149,13 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 from scipy.optimize._highspy import _core as highs
-from scipy.sparse import csr_matrix, vstack
+from scipy.sparse import csc_matrix, csr_matrix
 
 from .contact_plan import ContactPlan
 from .simulator import Demand, Metrics
@@ -239,9 +249,10 @@ class LpProblem:
 
     The index maps, objective and matrices are shared, read-only, by every
     problem built on the same plan with the same weights, soft flag and
-    class set; b_eq, b_ub and col_lower are the problem's own. The variable
-    and row names are worked out on first use; only the LP text export
-    reads them.
+    class set; b_eq, b_ub and col_lower are the problem's own. `a_eq` and
+    `a_ub` are row-wise views of the layout's one column-wise matrix,
+    derived once per layout on first use. The variable and row names are
+    worked out on first use; only the LP text export reads them.
     """
 
     plan: ContactPlan
@@ -251,13 +262,22 @@ class LpProblem:
     x_index: Mapping[tuple[int, int, int], int]
     b_index: Mapping[tuple[int, int, int], int]
     slack_index: Mapping[int, int]
-    objective: np.ndarray
-    a_eq: csr_matrix | None
     b_eq: np.ndarray
-    a_ub: csr_matrix | None
     b_ub: np.ndarray
     col_lower: np.ndarray
-    _merges: tuple[_Merge, ...] = ()
+    _layout: _Layout
+
+    @property
+    def objective(self) -> np.ndarray:
+        return self._layout.objective
+
+    @property
+    def a_eq(self) -> csr_matrix | None:
+        return self._layout.row_blocks[1]
+
+    @property
+    def a_ub(self) -> csr_matrix | None:
+        return self._layout.row_blocks[0]
 
     @property
     def n_vars(self) -> int:
@@ -410,19 +430,35 @@ class _Merge:
 class _Layout:
     """The part of a model fixed by the plan, the weights, the soft flag and
     the class set (each class's dst, t_gen, ttl and source nodes): index
-    maps, objective, matrices, and where the supplies go in the
+    maps, objective, the constraint matrix, and where the supplies go in the
     right-hand sides and column bounds. Its arrays are read-only, since
-    every problem built from it shares them."""
+    every problem built from it shares them.
+
+    The matrix is held column-wise, as HiGHS takes it: rows a_ub then a_eq,
+    row indices sorted within each column. `a_ub` and `a_eq` are row-wise
+    views of it, derived on first use."""
 
     groups: tuple[tuple[int, ...], ...]
     group_of: np.ndarray  # the model commodity of each class
     x_index: Mapping[tuple[int, int, int], int]
     b_index: Mapping[tuple[int, int, int], int]
     slack_index: Mapping[int, int]
+    # Each index map's keys, in map order, and their columns as one array.
+    x_keys: tuple[tuple[int, int, int], ...]
+    x_cols: np.ndarray
+    b_keys: tuple[tuple[int, int, int], ...]
+    b_cols: np.ndarray
+    s_keys: tuple[int, ...]
+    s_cols: np.ndarray
     objective: np.ndarray
-    a_eq: csr_matrix | None
-    a_ub: csr_matrix | None
+    n_ub: int
     n_eq: int
+    start: np.ndarray  # int32 column starts into index and value
+    index: np.ndarray  # int32 row of each entry
+    value: np.ndarray
+    row_lower: np.ndarray  # -inf on a_ub rows, 0 on a_eq rows (filled per problem)
+    col_upper: np.ndarray
+    integrality: np.ndarray  # int32, all continuous
     supply_rows: np.ndarray  # the init or bal row of each (class, source), in supply order
     bounded: np.ndarray  # the (class, source) entries generated after their group's first
     bound_cols: np.ndarray  # the buffer column each bounded entry bounds below
@@ -430,6 +466,19 @@ class _Layout:
     ddl_groups: np.ndarray  # the model commodity of each ddl row; ddl rows come first in b_ub
     b_ub: np.ndarray  # arccap and bufcap bounds, ddl rows left at zero
     merges: tuple[_Merge, ...]
+
+    @cached_property
+    def row_blocks(self) -> tuple[csr_matrix | None, csr_matrix | None]:
+        """(a_ub, a_eq): the matrix's row blocks, None when a block is empty."""
+        full = csc_matrix(
+            (self.value, self.index, self.start), shape=(self.n_ub + self.n_eq, len(self.objective))
+        ).tocsr()
+        blocks = (full[: self.n_ub] if self.n_ub else None, full[self.n_ub :] if self.n_eq else None)
+        for block in blocks:
+            if block is not None:
+                for part in (block.data, block.indices, block.indptr):
+                    part.flags.writeable = False
+        return blocks
 
 
 def build_lp(
@@ -480,13 +529,10 @@ def build_lp(
         x_index=layout.x_index,
         b_index=layout.b_index,
         slack_index=layout.slack_index,
-        objective=layout.objective,
-        a_eq=layout.a_eq,
         b_eq=b_eq,
-        a_ub=layout.a_ub,
         b_ub=b_ub,
         col_lower=col_lower,
-        _merges=layout.merges,
+        _layout=layout,
     )
 
 
@@ -504,7 +550,8 @@ def _build_layout(
     timestamp and bal after it, one row per (timestamp, node), then fin.
     Inequality rows are ddl per model commodity, then arccap per arc with
     at least one flow variable, then bufcap per finite-buffer node and
-    timestamp. The index maps key every class's window into these columns.
+    timestamp. The matrix stacks the inequality rows, then the equality
+    rows. The index maps key every class's window into these columns.
     """
     grid = plan.grid
     f = grid.state_count
@@ -672,18 +719,32 @@ def _build_layout(
             b_cells=((ct[bs] - gen[m]) * n_nodes + cv[bs]) * n + rank[ck[bs]],
         ))
 
+    x_at = x_cols[xa, group_of[xk]]
+    b_at = b_cols[ct, cv, group_of[ck]]
+    s_keys = tuple(range(n_coms)) if soft else ()
+    s_at = s_base + group_of if soft else np.zeros(0, dtype=np.int64)
+    start, index, value = _columns(ub + [(r + n_ub, c, v) for r, c, v in eq], n_ub + n_eq, n_vars)
     layout = _Layout(
         groups=groups,
         group_of=group_of,
-        x_index=MappingProxyType(dict(zip(x_keys, x_cols[xa, group_of[xk]].tolist()))),
-        b_index=MappingProxyType(dict(zip(b_keys, b_cols[ct, cv, group_of[ck]].tolist()))),
-        slack_index=MappingProxyType(
-            {k: s_base + int(group_of[k]) for k in range(n_coms)} if soft else {}
-        ),
+        x_index=MappingProxyType(dict(zip(x_keys, x_at.tolist()))),
+        b_index=MappingProxyType(dict(zip(b_keys, b_at.tolist()))),
+        slack_index=MappingProxyType(dict(zip(s_keys, s_at.tolist()))),
+        x_keys=tuple(x_keys),
+        x_cols=x_at,
+        b_keys=tuple(b_keys),
+        b_cols=b_at,
+        s_keys=s_keys,
+        s_cols=s_at,
         objective=objective,
-        a_eq=_matrix(eq, n_eq, n_vars),
-        a_ub=_matrix(ub, n_ub, n_vars),
+        n_ub=n_ub,
         n_eq=n_eq,
+        start=start,
+        index=index,
+        value=value,
+        row_lower=np.concatenate((np.full(n_ub, -highs.kHighsInf), np.zeros(n_eq))),
+        col_upper=np.full(n_vars, highs.kHighsInf),
+        integrality=np.zeros(n_vars, dtype=np.int32),
         supply_rows=first[sup_grp] + (sup_t - gen[sup_grp]) * n_nodes + sup_node,
         bounded=bounded,
         bound_cols=b_cols[sup_t[bounded], sup_node[bounded], sup_grp[bounded]],
@@ -692,55 +753,59 @@ def _build_layout(
         b_ub=np.concatenate(ub_rhs),
         merges=tuple(merges),
     )
-    for array in (layout.group_of, layout.objective, layout.supply_rows, layout.bounded,
-                  layout.bound_cols, layout.fin_rows, layout.ddl_groups, layout.b_ub,
+    for array in (layout.group_of, layout.x_cols, layout.b_cols, layout.s_cols, layout.objective,
+                  layout.start, layout.index, layout.value, layout.row_lower, layout.col_upper,
+                  layout.integrality, layout.supply_rows, layout.bounded, layout.bound_cols,
+                  layout.fin_rows, layout.ddl_groups, layout.b_ub,
                   *(a for merge in merges for a in (merge.x_cells, merge.b_cells))):
         array.flags.writeable = False
-    for matrix in (layout.a_eq, layout.a_ub):
-        if matrix is not None:
-            for part in (matrix.data, matrix.indices, matrix.indptr):
-                part.flags.writeable = False
     return layout
 
 
-def _matrix(
+def _columns(
     blocks: list[tuple[np.ndarray, np.ndarray, float]], n_rows: int, n_vars: int
-) -> csr_matrix | None:
-    """Sparse rows from (row indices, column indices, coefficient) blocks."""
-    if n_rows == 0:
-        return None
-    rows, cols, coefs = zip(*blocks)
-    data = np.concatenate([np.full(len(r), coef) for r, coef in zip(rows, coefs)])
-    return csr_matrix((data, (np.concatenate(rows), np.concatenate(cols))), shape=(n_rows, n_vars))
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The column-wise matrix (int32 start, int32 index, value) of the
+    (row indices, column indices, coefficient) blocks: row indices sorted
+    within each column, and entries at one (row, column) summed into one,
+    as scipy's sparse formats hold them."""
+    span = max(n_rows, 1)
+    cell = np.concatenate([cols * span + rows for rows, cols, _ in blocks])
+    value = np.concatenate([np.full(len(rows), coef) for rows, _, coef in blocks])
+    order = np.argsort(cell, kind="stable")
+    cell, value = cell[order], value[order]
+    first = np.flatnonzero(np.diff(cell, prepend=-1))
+    if len(first) < len(cell):
+        cell, value = cell[first], np.add.reduceat(value, first)
+    start = np.zeros(n_vars + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cell // span, minlength=n_vars), out=start[1:])
+    return start, (cell % span).astype(np.int32), value
 
 
 class LpSession:
     """One HiGHS model kept across solves of problems that differ only in
     their right-hand sides.
 
-    A problem that holds the very objective and matrix objects last
-    loaded, as every problem built from one layout does, is solved warm:
-    only the changed row and column bounds are passed, and the dual
-    simplex restarts from the last basis, which a change of right-hand
-    sides and bounds leaves dual feasible. Any other problem is loaded into
-    a fresh solver and solved cold.
+    A problem built from the layout last loaded, whose objective and matrix
+    it holds, is solved warm: only the changed row and column bounds are
+    passed, and the dual simplex restarts from the last basis, which a
+    change of right-hand sides and bounds leaves dual feasible. Any other
+    problem is loaded into a fresh solver and solved cold.
     """
 
     def __init__(self):
         self._highs = None
-        self._structure = None  # the loaded (objective, a_ub, a_eq)
+        self._layout = None  # the layout whose objective and matrix are loaded
         self._row_lower = self._row_upper = self._col_lower = None
 
     def _load(self, problem: LpProblem):
-        """The solver holding `problem`, warm when it holds the loaded
-        objective and matrices."""
-        structure = (problem.objective, problem.a_ub, problem.a_eq)
-        n_ub = 0 if problem.a_ub is None else problem.a_ub.shape[0]
-        lower = np.concatenate((np.full(n_ub, -highs.kHighsInf), problem.b_eq))
+        """The solver holding `problem`, warm when it comes from the loaded
+        layout."""
+        layout = problem._layout
+        lower = layout.row_lower.copy()
+        lower[layout.n_ub :] = problem.b_eq
         upper = np.concatenate((problem.b_ub, problem.b_eq))
-        if self._structure is not None and all(
-            new is old for new, old in zip(structure, self._structure)
-        ):
+        if layout is self._layout:
             changed = np.flatnonzero((lower != self._row_lower) | (upper != self._row_upper))
             for row in changed.tolist():
                 self._highs.changeRowBounds(row, lower[row], upper[row])
@@ -748,35 +813,27 @@ class LpSession:
             for col in changed.tolist():
                 self._highs.changeColBounds(col, problem.col_lower[col], highs.kHighsInf)
         else:
-            self._highs = _cold_solver(problem, lower, upper)
-            self._structure = structure
+            self._highs = _cold_solver(layout, problem.col_lower, lower, upper)
+            self._layout = layout
         self._row_lower, self._row_upper = lower, upper
         self._col_lower = problem.col_lower
         return self._highs
 
 
-def _cold_solver(problem: LpProblem, lower: np.ndarray, upper: np.ndarray):
-    """A new HiGHS instance loaded with the rows a_ub then a_eq and the
-    problem's column lower bounds."""
-    objective = problem.objective
-    a = vstack([m for m in (problem.a_ub, problem.a_eq) if m is not None], format="csc")
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = len(objective)
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(lower)
-    lp.col_cost_ = objective
-    lp.col_lower_ = problem.col_lower
-    lp.col_upper_ = np.full(len(objective), highs.kHighsInf)
-    lp.row_lower_ = lower
-    lp.row_upper_ = upper
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = a.indptr
-    lp.a_matrix_.index_ = a.indices
-    lp.a_matrix_.value_ = a.data
+def _cold_solver(layout: _Layout, col_lower: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+    """A new HiGHS instance loaded, in one call, with the layout's objective
+    and column-wise matrix, the column lower bounds and the row bounds."""
     solver = highs._Highs()
     solver.setOptionValue("output_flag", False)
     dual = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     solver.setOptionValue("simplex_strategy", dual)
-    if solver.passModel(lp) == highs.HighsStatus.kError:
+    status = solver.passModel(
+        len(layout.objective), len(lower), len(layout.value),
+        highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
+        layout.objective, col_lower, layout.col_upper, lower, upper,
+        layout.start, layout.index, layout.value, layout.integrality,
+    )
+    if status == highs.HighsStatus.kError:
         raise LpSolverError("solver rejected the model")
     return solver
 
@@ -815,20 +872,22 @@ def solve_lp(problem: LpProblem, session: LpSession | None = None) -> LpSolution
         raise LpSolverError(f"solver failure: {solver.modelStatusToString(status)}")
     result = solver.getSolution()
     x = result.col_value
+    values = np.asarray(x)
     if not _within_bounds(
-        x, result.row_value, session._row_lower, session._row_upper, problem.col_lower
+        values, result.row_value, session._row_lower, session._row_upper, problem.col_lower
     ):
         raise LpSolverError(
             f"solver reported an optimum outside the bounds by more than {_ACCEPT_TOL:.2e}"
         )
+    layout = problem._layout
     solution = LpSolution(
         status="optimal",
         objective=solver.getInfo().objective_function_value,
-        x_flows={key: x[col] for key, col in problem.x_index.items()},
-        buffers={key: x[col] for key, col in problem.b_index.items()},
-        slacks={k: x[col] for k, col in problem.slack_index.items()},
+        x_flows=dict(zip(layout.x_keys, values[layout.x_cols].tolist())),
+        buffers=dict(zip(layout.b_keys, values[layout.b_cols].tolist())),
+        slacks=dict(zip(layout.s_keys, values[layout.s_cols].tolist())),
     )
-    for merge in problem._merges:
+    for merge in layout.merges:
         _split(problem, merge, x, solution)
     return solution
 
@@ -900,22 +959,37 @@ def verify_solution(
     """Re-check every constraint of the full model directly from the plan
     and commodities, independently of the assembled rows.
 
-    The full model has every arc x state x commodity and every timestamp;
-    variables the solution does not hold read as zero. One pass over the
-    flows checks their signs and the structural rules and sums each
-    (state, node, commodity)'s net inflow and each arc's load; the row
-    checks then read those sums.
+    The full model has every arc x state x class and every timestamp;
+    variables the solution does not hold read as zero. The checks read
+    only the plan's arcs, nodes and grid and each class's generation,
+    deadline and supplies; of the problem, only its index maps' keys, to
+    reject a solution with variables the model does not have.
 
-    Returns one Violation per constraint off by more than tol; an empty
-    list certifies the solution. Raises ValueError on status or shape
-    mismatches (unknown variable keys).
+    Flows and buffers are scattered into dense (class, timestamp, node)
+    arrays, and every family is checked on whole arrays: signs and the
+    structural rules per flow, then init, bal, ddl and fin per class, then
+    arccap per arc and bufcap per finite-buffer node and timestamp. Each
+    (state, node, class) net inflow and each arc's load add the flows up in
+    the solution's order, so the residuals are those of a check written
+    one row at a time.
+
+    Returns one Violation per constraint off by more than tol, in that
+    family order, by flow for the per-flow checks and by class, then
+    timestamp, then node for the rows; an empty list certifies the
+    solution. Raises ValueError on status or shape mismatches (unknown
+    variable keys, or flows on a contact in a state it does not cover).
     """
     if solution.status != "optimal":
         raise ValueError("only optimal solutions can be verified")
-    unknown_x = sum(key not in problem.x_index for key in solution.x_flows)
-    unknown_b = sum(key not in problem.b_index for key in solution.buffers)
-    unknown_s = sum(k not in problem.slack_index for k in solution.slacks)
-    if unknown_x or unknown_b or unknown_s:
+    X, B, S = solution.x_flows, solution.buffers, solution.slacks
+    if not (
+        X.keys() <= problem.x_index.keys()
+        and B.keys() <= problem.b_index.keys()
+        and S.keys() <= problem.slack_index.keys()
+    ):
+        unknown_x = sum(key not in problem.x_index for key in X)
+        unknown_b = sum(key not in problem.b_index for key in B)
+        unknown_s = sum(k not in problem.slack_index for k in S)
         raise ValueError(
             f"solution shape mismatch: {unknown_x} flow, {unknown_b} buffer, "
             f"{unknown_s} slack keys not in the problem"
@@ -924,97 +998,128 @@ def verify_solution(
     plan = problem.plan
     f = plan.grid.state_count
     coms = problem.commodities
+    n_coms = len(coms)
     node_ids = sorted(plan.node_ids)
-    arc_at = {(a.contact_id, a.state): a for a in plan.arcs}
-    gens = [_generation_index(plan, com) for com in coms]
-
-    X = solution.x_flows
-    B = solution.buffers
-    out: list[Violation] = []
-    net: dict[tuple[int, int, int], float] = {}
-    load: dict[tuple[int, int], float] = {}
-
-    for key, val in X.items():
-        cid, q, k = key
-        a = arc_at.get((cid, q))
-        if a is None:
-            raise ValueError(f"solution shape mismatch: contact {cid} has no arc in state {q}")
-        if val < -tol:
-            out.append(Violation("nonnegative", str(key), -val))
-        if abs(val) > tol:
-            if q <= gens[k]:
-                out.append(Violation("no-early-send", f"contact {cid} state {q} k{k}", abs(val)))
-            if a.from_node == coms[k].dst:
-                out.append(Violation("dest-no-reemit", f"contact {cid} state {q} k{k}", abs(val)))
-        net[(q, a.to_node, k)] = net.get((q, a.to_node, k), 0.0) + val
-        net[(q, a.from_node, k)] = net.get((q, a.from_node, k), 0.0) - val
-        load[(cid, q)] = load.get((cid, q), 0.0) + val
-    for key, val in B.items():
-        if val < -tol:
-            out.append(Violation("nonnegative", str(key), -val))
-    for k, val in solution.slacks.items():
-        if val < -tol:
-            out.append(Violation("nonnegative", f"slack k{k}", -val))
-
+    n_nodes = len(node_ids)
+    pos = {v: i for i, v in enumerate(node_ids)}
+    gens = np.array([_generation_index(plan, com) for com in coms], dtype=np.int64)
+    deadlines = [_deadline_index(plan, com) for com in coms]
+    dl = np.array([f + 1 if d is None else d for d in deadlines], dtype=np.int64)
+    dst = np.array([pos[com.dst] for com in coms], dtype=np.int64)
+    amount = np.array([com.amount for com in coms], dtype=np.float64)
+    inject = np.zeros((n_coms, f + 1, n_nodes))
     for k, com in enumerate(coms):
-        gen = gens[k]
-        slack = solution.slacks.get(k, 0.0)
-        supply = dict(com.supply)
+        for v, supplied in com.supply:
+            inject[k, gens[k], pos[v]] = supplied
 
-        for v in node_ids:
-            want = supply.get(v, 0.0) if gen == 0 else 0.0
-            have = B.get((0, v, k), 0.0)
-            if abs(have - want) > tol:
-                out.append(Violation("init", f"node {v} k{k}", abs(have - want)))
+    arcs = plan.arcs
+    arc_cid, arc_state, arc_from, arc_to, _ = np.fromiter(
+        chain.from_iterable(arcs), dtype=np.int64, count=5 * len(arcs)
+    ).reshape(-1, 5).T
+    arc_cap = np.array([a.capacity for a in arcs], dtype=np.float64)
+    node_arr = np.array(node_ids, dtype=np.int64)
+    arc_from, arc_to = np.searchsorted(node_arr, arc_from), np.searchsorted(node_arr, arc_to)
 
-        for t in range(1, f + 1):
-            for v in node_ids:
-                injected = supply.get(v, 0.0) if t == gen else 0.0
-                residual = (
-                    B.get((t, v, k), 0.0)
-                    - B.get((t - 1, v, k), 0.0)
-                    - net.get((t, v, k), 0.0)
-                    - injected
-                )
-                if abs(residual) > tol:
-                    out.append(Violation("bal", f"t{t} node {v} k{k}", abs(residual)))
+    # Each flow's arc, found by (state, contact rank) in the arcs' own
+    # (state, contact id) order.
+    x_cid, x_state, x_com = np.fromiter(
+        chain.from_iterable(X), dtype=np.int64, count=3 * len(X)
+    ).reshape(-1, 3).T
+    x_val = np.fromiter(X.values(), dtype=np.float64, count=len(X))
+    cids = np.unique(arc_cid)
+    rank = np.minimum(np.searchsorted(cids, x_cid), max(len(cids) - 1, 0))
+    arc_key = arc_state * len(cids) + np.searchsorted(cids, arc_cid)
+    x_key = x_state * len(cids) + rank
+    arc = np.minimum(np.searchsorted(arc_key, x_key), max(len(arcs) - 1, 0))
+    found = (cids[rank] == x_cid) & (arc_key[arc] == x_key) if len(arcs) else np.zeros(len(X), bool)
+    if not found.all():
+        cid, q, _ = list(X)[np.flatnonzero(~found)[0]]
+        raise ValueError(f"solution shape mismatch: contact {cid} has no arc in state {q}")
 
-        dl = _deadline_index(plan, com)
-        if dl is not None:
-            for t in range(dl, f + 1):
-                short = (com.amount - slack) - B.get((t, com.dst, k), 0.0)
-                if short > tol:
-                    out.append(Violation("ddl", f"t{t} k{k}", short))
+    b_t, b_node, b_com = np.fromiter(
+        chain.from_iterable(B), dtype=np.int64, count=3 * len(B)
+    ).reshape(-1, 3).T
+    buffers = np.zeros((n_coms, f + 1, n_nodes))
+    buffers[b_com, b_t, np.searchsorted(node_arr, b_node)] = np.fromiter(
+        B.values(), dtype=np.float64, count=len(B)
+    )
+    slacks = np.zeros(n_coms)
+    slacks[np.fromiter(S.keys(), dtype=np.int64, count=len(S))] = np.fromiter(
+        S.values(), dtype=np.float64, count=len(S)
+    )
 
-        if problem.soft:
-            residual = B.get((f, com.dst, k), 0.0) + slack - com.amount
-            if abs(residual) > tol:
-                out.append(Violation("fin", f"node {com.dst} k{k}", abs(residual)))
-        else:
-            for v in node_ids:
-                want = com.amount if v == com.dst else 0.0
-                have = B.get((f, v, k), 0.0)
-                if abs(have - want) > tol:
-                    out.append(Violation("fin", f"node {v} k{k}", abs(have - want)))
+    out: list[Violation] = []
+    loud = np.abs(x_val) > tol
+    early = loud & (x_state <= gens[x_com])
+    reemit = loud & (arc_from[arc] == dst[x_com])
+    negative = x_val < -tol
+    if (negative | early | reemit).any():
+        keys = list(X)
+        for i in np.flatnonzero(negative | early | reemit).tolist():
+            key, val = keys[i], X[keys[i]]
+            cid, q, k = key
+            if negative[i]:
+                out.append(Violation("nonnegative", str(key), -val))
+            if early[i]:
+                out.append(Violation("no-early-send", f"contact {cid} state {q} k{k}", abs(val)))
+            if reemit[i]:
+                out.append(Violation("dest-no-reemit", f"contact {cid} state {q} k{k}", abs(val)))
+    for values, where in ((B, str), (S, "slack k{}".format)):
+        negative = np.fromiter(values.values(), dtype=np.float64, count=len(values)) < -tol
+        if negative.any():
+            keys = list(values)
+            for i in np.flatnonzero(negative).tolist():
+                out.append(Violation("nonnegative", where(keys[i]), -values[keys[i]]))
 
-    for (cid, q), a in arc_at.items():
-        total = load.get((cid, q), 0.0)
-        if total > a.capacity + tol:
-            out.append(Violation("arccap", f"contact {cid} state {q}", total - a.capacity))
+    # Net inflow per (class, state, node): +flow at the arc's head, -flow at
+    # its tail, added flow by flow in the solution's order.
+    cells = np.empty(2 * len(X), dtype=np.int64)
+    cells[0::2] = (x_com * (f + 1) + x_state) * n_nodes + arc_to[arc]
+    cells[1::2] = (x_com * (f + 1) + x_state) * n_nodes + arc_from[arc]
+    signed = np.empty(2 * len(X))
+    signed[0::2], signed[1::2] = x_val, -x_val
+    net = np.zeros(n_coms * (f + 1) * n_nodes)
+    np.add.at(net, cells, signed)
+    net = net.reshape(n_coms, f + 1, n_nodes)
+
+    classes = np.arange(n_coms)
+    init = np.abs(buffers[:, 0] - inject[:, 0])
+    bal = np.abs(buffers[:, 1:] - buffers[:, :-1] - net[:, 1:] - inject[:, 1:])
+    short = (amount - slacks)[:, None] - buffers[classes, :, dst]
+    short[np.arange(f + 1)[None, :] < dl[:, None]] = -np.inf
+    if problem.soft:
+        fin = np.abs(buffers[classes, f, dst] + slacks - amount)[:, None]
+    else:
+        want = np.zeros((n_coms, n_nodes))
+        want[classes, dst] = amount
+        fin = np.abs(buffers[:, f] - want)
+    bad = (init > tol).any(1) | (bal > tol).any((1, 2)) | (short > tol).any(1) | (fin > tol).any(1)
+    for k in np.flatnonzero(bad).tolist():
+        for v in np.flatnonzero(init[k] > tol).tolist():
+            out.append(Violation("init", f"node {node_ids[v]} k{k}", float(init[k, v])))
+        for t, v in zip(*(i.tolist() for i in np.nonzero(bal[k] > tol))):
+            out.append(Violation("bal", f"t{t + 1} node {node_ids[v]} k{k}", float(bal[k, t, v])))
+        for t in np.flatnonzero(short[k] > tol).tolist():
+            out.append(Violation("ddl", f"t{t} k{k}", float(short[k, t])))
+        for v in np.flatnonzero(fin[k] > tol).tolist():
+            node = coms[k].dst if problem.soft else node_ids[v]
+            out.append(Violation("fin", f"node {node} k{k}", float(fin[k, v])))
+
+    load = np.zeros(len(arcs))
+    np.add.at(load, arc, x_val)
+    for i in np.flatnonzero(load > arc_cap + tol).tolist():
+        out.append(Violation(
+            "arccap", f"contact {arcs[i].contact_id} state {arcs[i].state}", float(load[i] - arc_cap[i])
+        ))
 
     for spec in plan.nodes:
         if math.isinf(spec.buffer_capacity):
             continue
-        for t in range(f + 1):
-            total = sum(B.get((t, spec.node_id, k), 0.0) for k in range(len(coms)))
-            if total > spec.buffer_capacity + tol:
-                out.append(
-                    Violation(
-                        "bufcap",
-                        f"t{t} node {spec.node_id}",
-                        total - spec.buffer_capacity,
-                    )
-                )
+        total = buffers[:, :, pos[spec.node_id]].sum(axis=0)
+        for t in np.flatnonzero(total > spec.buffer_capacity + tol).tolist():
+            out.append(Violation(
+                "bufcap", f"t{t} node {spec.node_id}", float(total[t] - spec.buffer_capacity)
+            ))
 
     return out
 

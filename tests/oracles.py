@@ -21,6 +21,11 @@ state at or before the deadline's `floor_boundary_index`.
 `reference_forward_or_drop` is forwarding as it was written before it
 became one ordered scan: keep every usable route in table order, pick the
 policy's minimum among them, then book it.
+
+`reference_verify_solution` is the LP verifier as it was written before it
+checked arrays: one pass over the flows in dictionary order, then every row
+of the full model one (class, timestamp, node) at a time, reading missing
+variables as zero.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from scipy.sparse import csr_matrix
 from cgrlab.contact_graph import Route, RouteTable, build_route_tables
 from cgrlab.contact_plan import Contact, ContactPlan
 from cgrlab.forwarding import CapacityLedger, Packet, Policy, forward_or_drop
-from cgrlab.lp_oracle import Commodity, LpSolution
+from cgrlab.lp_oracle import Commodity, LpProblem, LpSolution, Violation
 from cgrlab.simulator import Demand, PacketRecord, SimResult
 
 RouteKey = tuple[float, int, tuple[int, ...]]
@@ -171,6 +176,116 @@ def solve_full_lp(plan: ContactPlan, commodities: list[Commodity], soft: bool) -
         buffers={var[1:]: x for var, x in values.items() if var[0] == "B"},
         slacks={var[1]: x for var, x in values.items() if var[0] == "S"},
     )
+
+
+def reference_verify_solution(
+    problem: LpProblem, solution: LpSolution, tol: float = 1e-6
+) -> list[Violation]:
+    """`verify_solution` written loop by loop: the same violations, in the
+    same order and with the same amounts."""
+    if solution.status != "optimal":
+        raise ValueError("only optimal solutions can be verified")
+    unknown_x = sum(key not in problem.x_index for key in solution.x_flows)
+    unknown_b = sum(key not in problem.b_index for key in solution.buffers)
+    unknown_s = sum(k not in problem.slack_index for k in solution.slacks)
+    if unknown_x or unknown_b or unknown_s:
+        raise ValueError(
+            f"solution shape mismatch: {unknown_x} flow, {unknown_b} buffer, "
+            f"{unknown_s} slack keys not in the problem"
+        )
+
+    plan = problem.plan
+    grid = plan.grid
+    f = grid.state_count
+    coms = problem.commodities
+    node_ids = sorted(plan.node_ids)
+    arc_at = {(a.contact_id, a.state): a for a in plan.arcs}
+    gens = [grid.boundary_index(com.t_gen) for com in coms]
+
+    X = solution.x_flows
+    B = solution.buffers
+    out: list[Violation] = []
+    net: dict[tuple[int, int, int], float] = {}
+    load: dict[tuple[int, int], float] = {}
+
+    for key, val in X.items():
+        cid, q, k = key
+        a = arc_at.get((cid, q))
+        if a is None:
+            raise ValueError(f"solution shape mismatch: contact {cid} has no arc in state {q}")
+        if val < -tol:
+            out.append(Violation("nonnegative", str(key), -val))
+        if abs(val) > tol:
+            if q <= gens[k]:
+                out.append(Violation("no-early-send", f"contact {cid} state {q} k{k}", abs(val)))
+            if a.from_node == coms[k].dst:
+                out.append(Violation("dest-no-reemit", f"contact {cid} state {q} k{k}", abs(val)))
+        net[(q, a.to_node, k)] = net.get((q, a.to_node, k), 0.0) + val
+        net[(q, a.from_node, k)] = net.get((q, a.from_node, k), 0.0) - val
+        load[(cid, q)] = load.get((cid, q), 0.0) + val
+    for key, val in B.items():
+        if val < -tol:
+            out.append(Violation("nonnegative", str(key), -val))
+    for k, val in solution.slacks.items():
+        if val < -tol:
+            out.append(Violation("nonnegative", f"slack k{k}", -val))
+
+    for k, com in enumerate(coms):
+        gen = gens[k]
+        slack = solution.slacks.get(k, 0.0)
+        supply = dict(com.supply)
+
+        for v in node_ids:
+            want = supply.get(v, 0.0) if gen == 0 else 0.0
+            have = B.get((0, v, k), 0.0)
+            if abs(have - want) > tol:
+                out.append(Violation("init", f"node {v} k{k}", abs(have - want)))
+
+        for t in range(1, f + 1):
+            for v in node_ids:
+                injected = supply.get(v, 0.0) if t == gen else 0.0
+                residual = (
+                    B.get((t, v, k), 0.0)
+                    - B.get((t - 1, v, k), 0.0)
+                    - net.get((t, v, k), 0.0)
+                    - injected
+                )
+                if abs(residual) > tol:
+                    out.append(Violation("bal", f"t{t} node {v} k{k}", abs(residual)))
+
+        if not math.isinf(com.ttl):
+            for t in range(grid.floor_boundary_index(com.deadline), f + 1):
+                short = (com.amount - slack) - B.get((t, com.dst, k), 0.0)
+                if short > tol:
+                    out.append(Violation("ddl", f"t{t} k{k}", short))
+
+        if problem.soft:
+            residual = B.get((f, com.dst, k), 0.0) + slack - com.amount
+            if abs(residual) > tol:
+                out.append(Violation("fin", f"node {com.dst} k{k}", abs(residual)))
+        else:
+            for v in node_ids:
+                want = com.amount if v == com.dst else 0.0
+                have = B.get((f, v, k), 0.0)
+                if abs(have - want) > tol:
+                    out.append(Violation("fin", f"node {v} k{k}", abs(have - want)))
+
+    for (cid, q), a in arc_at.items():
+        total = load.get((cid, q), 0.0)
+        if total > a.capacity + tol:
+            out.append(Violation("arccap", f"contact {cid} state {q}", total - a.capacity))
+
+    for spec in plan.nodes:
+        if math.isinf(spec.buffer_capacity):
+            continue
+        for t in range(f + 1):
+            total = sum(B.get((t, spec.node_id, k), 0.0) for k in range(len(coms)))
+            if total > spec.buffer_capacity + tol:
+                out.append(
+                    Violation("bufcap", f"t{t} node {spec.node_id}", total - spec.buffer_capacity)
+                )
+
+    return out
 
 
 def filter_routes(

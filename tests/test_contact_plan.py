@@ -50,8 +50,8 @@ def test_serialize_is_canonical(fig1_plan):
 
 
 def test_parse_serialize_round_trip_over_seeded_plans():
-    grid = StateGrid(6, 10.0)
     for seed in range(100):
+        grid = StateGrid(6, 10.0 if seed % 2 else 0.001)
         cfg = TopologyConfig(node_count=6, density=0.3, capacity=5, grid=grid, seed=seed)
         plan = generate_random_topology(cfg)
         again = parse_contact_plan(serialize_contact_plan(plan))
@@ -112,6 +112,47 @@ def test_overflowing_buffer_capacity_is_a_syntax_error():
     with pytest.raises(PlanSyntaxError) as err:
         parse_contact_plan("plan 3 10\nnode 1 1" + "0" * 400 + "\n")
     assert (err.value.line, err.value.column) == (2, 8)
+
+
+_H = "plan 3 10\nnode 1 inf\nnode 2 inf\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("node 1 inf\n", "line 1, column 1: missing plan header"),
+        ("plan 3 10\n  plan 3 10\n", "line 2, column 3: duplicate plan header"),
+        ("plan 3 10\n\tlink 1 2 # a comment\n", "line 2, column 2: unknown record type 'link'"),
+        ("plan 3 # 10\n", "line 1, column 1: expected `plan <state_count> <state_duration_s>`"),
+        ("  plan three 10\n", "line 1, column 8: state_count must be an integer, got 'three'"),
+        ("plan 3\tten\n", "line 1, column 8: state_duration must be a number, got 'ten'"),
+        ("plan 3 nan # not a number\n",
+         "line 1, column 8: state_duration must be a finite number, got 'nan'"),
+        ("plan 0 10\n", "line 1, column 1: state_count must be >= 1, got 0"),
+        (_H + "node 3\n", "line 4, column 1: expected `node <id> <buffer_capacity|inf>`"),
+        (_H + "node  x inf\n", "line 4, column 7: node id must be an integer, got 'x'"),
+        (_H + "node 3 1.5\n", "line 4, column 8: buffer_capacity must be an integer, got '1.5'"),
+        (_H + "node 3 1" + "0" * 400 + "\n", "line 4, column 8: buffer_capacity is too large"),
+        (_H + "contact 1 1 2 0 10 5 7\n",
+         "line 4, column 1: expected `contact <id> <from> <to> <start_s> <end_s> <capacity>`"),
+        (_H + "\t contact one 1 2 0 10 5\n",
+         "line 4, column 11: contact id must be an integer, got 'one'"),
+        (_H + "contact 1 a 2 0 10 5\n", "line 4, column 11: from must be an integer, got 'a'"),
+        (_H + "contact 1 1 b 0 10 5\n", "line 4, column 13: to must be an integer, got 'b'"),
+        (_H + "contact 1 1 2 zero 10 5\n", "line 4, column 15: start must be a number, got 'zero'"),
+        (_H + "contact 1 1 2 0 -inf 5  # comment\n",
+         "line 4, column 17: end must be a finite number, got '-inf'"),
+        (_H + "contact 1 1 2 0 10 5.0\n",
+         "line 4, column 20: capacity must be an integer, got '5.0'"),
+        # The first malformed token, in record order, is the one reported.
+        (_H + "contact x 1 2 nan 10 y\n",
+         "line 4, column 9: contact id must be an integer, got 'x'"),
+    ],
+)
+def test_each_syntax_error_names_its_line_column_and_cause(text, message):
+    with pytest.raises(PlanSyntaxError) as err:
+        parse_contact_plan(text)
+    assert str(err.value) == message
 
 
 def test_unknown_record_type_rejected():

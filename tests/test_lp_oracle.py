@@ -36,7 +36,7 @@ from cgrlab.lp_oracle import (
 from cgrlab.simulator import Demand
 
 from conftest import THREE_NODE_PLAN, random_small_plan
-from oracles import solve_full_lp
+from oracles import reference_verify_solution, solve_full_lp
 
 TOL = 1e-6
 
@@ -260,7 +260,9 @@ def test_mutated_solutions_are_rejected(fig1_solved):
 
 
 # One mutation per constraint family on the buffered three-node optimum:
-# (family, "x" for a flow or "b" for a buffer, key, delta).
+# (family, "x" for a flow, "b" for a buffer or "s" for a slack, key,
+# delta). Slack mutations run on the soft model, the others on the hard
+# one.
 FAMILY_MUTATIONS = [
     ("nonnegative", "b", (1, 2, 0), -1.0),
     ("init", "b", (0, 1, 0), 1.0),
@@ -269,15 +271,23 @@ FAMILY_MUTATIONS = [
     ("fin", "b", (3, 3, 0), -1.0),
     ("arccap", "x", (3, 3, 0), 1.0),
     ("bufcap", "b", (1, 2, 1), 10.0),
+    ("nonnegative", "x", (3, 3, 0), -20.0),
+    ("nonnegative", "s", 0, -0.5),
+    # Class 1's deadline row counts its slack as dropped: a negative slack
+    # asks for more than its amount at the destination.
+    ("ddl", "s", 1, -1.0),
+    ("fin", "s", 0, 1.0),
 ]
 
 
 @pytest.mark.parametrize("family, kind, key, delta", FAMILY_MUTATIONS)
 def test_each_constraint_family_reports_its_violations(fig1_demands, family, kind, key, delta):
-    problem = build_lp(_buffered_three_node_plan(), demands_to_commodities(fig1_demands))
+    problem = build_lp(
+        _buffered_three_node_plan(), demands_to_commodities(fig1_demands), soft=kind == "s"
+    )
     solution = solve_lp(problem)
     assert verify_solution(problem, solution, TOL) == []
-    values = solution.x_flows if kind == "x" else solution.buffers
+    values = {"x": solution.x_flows, "b": solution.buffers, "s": solution.slacks}[kind]
     values[key] += delta
     assert family in {v.constraint for v in verify_solution(problem, solution, TOL)}
 
@@ -310,6 +320,104 @@ def test_all_zero_solution_violates_final_residence(fig1_plan, fig1_commodities)
         empty.buffers[key] = 0.0
     violations = verify_solution(problem, empty, TOL)
     assert any(v.constraint == "fin" for v in violations)
+
+
+def _differential_inputs(rng):
+    """A small plan, on a 10 s or a 0.001 s grid, with buffers inf, 0 or 8,
+    and classes of one destination generated at several states with no
+    deadline or one shared deadline (so some groups merge), plus a few
+    random classes."""
+    base = random_small_plan(rng, max_contacts=20)
+    grid = StateGrid(base.grid.state_count, rng.choice([10.0, 0.001]))
+    contacts = [
+        dataclasses.replace(
+            c,
+            start=grid.state_start(round(c.start / 10.0) + 1),
+            end=grid.state_end(round(c.end / 10.0)),
+        )
+        for c in base.contacts
+    ]
+    nodes = [NodeSpec(n.node_id, rng.choice([math.inf, math.inf, 0.0, 8.0])) for n in base.nodes]
+    plan = ContactPlan(grid, nodes, contacts)
+    dst = rng.choice(sorted(plan.node_ids))
+    others = sorted(plan.node_ids - {dst})
+    deadline = grid.state_start(rng.randint(1, grid.state_count)) + grid.state_duration * rng.choice(
+        [0, 1, 3]
+    )
+    states = rng.sample(range(1, grid.state_count + 1), rng.randint(1, min(3, grid.state_count)))
+    demands = [
+        Demand(src, dst, t_gen, ttl, rng.randint(1, 3))
+        for t_gen in map(grid.state_start, states)
+        for ttl in (math.inf, deadline - t_gen)
+        if ttl >= 0 and rng.random() < 0.8
+        for src in rng.sample(others, rng.randint(1, len(others)))
+    ]
+    for _ in range(rng.randint(0, 2)):
+        src, other = rng.sample(sorted(plan.node_ids), 2)
+        t_gen = grid.state_start(rng.randint(1, grid.state_count))
+        ttl = rng.choice([math.inf, 0.0, 1.0, 2.0]) * grid.state_duration
+        demands.append(Demand(src, other, t_gen, ttl, rng.randint(1, 4)))
+    return plan, demands_to_commodities(demands)
+
+
+@given(seed=st.integers(0, 2**32 - 1), soft=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_array_verifier_matches_the_loop_verifier(seed, soft):
+    # Both verifiers see the certified optimum, a random single-entry
+    # mutation of it, an all-zero solution and one with missing keys. The
+    # index maps are widened to every variable of the full model, so a
+    # mutation may also send early or from a destination. A hard model
+    # with no optimum starts from the soft model's, without its slacks,
+    # and failing that from zeros: not certified, but read alike all the
+    # same.
+    rng = random.Random(seed)
+    plan, commodities = _differential_inputs(rng)
+    problem = build_lp(plan, commodities, soft=soft)
+    solution = solve_lp(problem)
+    event(f"{'soft' if soft else 'hard'} model: {solution.status}")
+    if solution.status != "optimal" and not soft:
+        solution = solve_lp(build_lp(plan, commodities, soft=True))
+        solution.slacks = {}
+    if solution.status != "optimal":
+        solution = LpSolution("optimal", 0.0, dict.fromkeys(problem.x_index, 0.0),
+                              dict.fromkeys(problem.b_index, 0.0),
+                              dict.fromkeys(problem.slack_index, 0.0))
+    n = len(commodities)
+    widened = dataclasses.replace(
+        problem,
+        x_index=dict.fromkeys((a.contact_id, a.state, k) for a in plan.arcs for k in range(n)),
+        b_index=dict.fromkeys(
+            (t, v, k) for t in range(plan.grid.state_count + 1) for v in plan.node_ids
+            for k in range(n)
+        ),
+    )
+
+    def copy(sol):
+        return LpSolution(sol.status, sol.objective, dict(sol.x_flows), dict(sol.buffers),
+                          dict(sol.slacks))
+
+    mutated = copy(solution)
+    kind = rng.choice(["x", "b", "s"] if soft else ["x", "b"])
+    values = {"x": mutated.x_flows, "b": mutated.buffers, "s": mutated.slacks}[kind]
+    index = {"x": widened.x_index, "b": widened.b_index, "s": widened.slack_index}[kind]
+    if index:
+        key = rng.choice(list(index))
+        values[key] = values.get(key, 0.0) + rng.choice([1.0, -1.0, 1e-7, -2.5, 3.0])
+    zero = LpSolution("optimal", 0.0, dict.fromkeys(solution.x_flows, 0.0),
+                      dict.fromkeys(solution.buffers, 0.0), dict.fromkeys(solution.slacks, 0.0))
+    missing = copy(solution)
+    for values in (missing.x_flows, missing.buffers, missing.slacks):
+        for key in rng.sample(list(values), len(values) // 3):
+            del values[key]
+
+    for candidate in (solution, mutated, zero, missing):
+        got = verify_solution(widened, candidate, TOL)
+        want = reference_verify_solution(widened, candidate, TOL)
+        assert [(v.constraint, v.location) for v in got] == [
+            (v.constraint, v.location) for v in want
+        ]
+        for a, b in zip(got, want):
+            assert math.isclose(a.amount, b.amount, rel_tol=1e-12)
 
 
 def test_verify_rejects_shape_mismatch(fig1_solved):
@@ -551,6 +659,24 @@ def test_soft_expired_class_still_moves_to_free_a_finite_buffer():
     assert solution.objective == pytest.approx(625.0)
     assert solution.slacks == {0: pytest.approx(10.0), 1: pytest.approx(0.0, abs=TOL)}
     assert solution.x_flows[(1, 2, 0)] == pytest.approx(5.0)
+
+
+def test_a_self_loop_contact_gives_one_matrix_entry_per_row_and_column():
+    # A contact from node 1 to itself, in a plan built without validation,
+    # puts +1 and -1 for its flow into the same balance row. They sum to one
+    # explicit zero, as scipy's sparse formats hold them; HiGHS rejects a
+    # column that names a row twice.
+    plan = ContactPlan(
+        StateGrid(2, 10.0),
+        [NodeSpec(1), NodeSpec(2)],
+        [Contact(1, 1, 1, 0.0, 10.0, 5), Contact(2, 1, 2, 10.0, 20.0, 5)],
+    )
+    problem = build_lp(plan, [Commodity(2, 0.0, math.inf, ((1, 3.0),))])
+    column = problem.a_eq.tocsc()[:, problem.x_index[(1, 1, 0)]]
+    assert column.nnz == 1 and column.data.tolist() == [0.0]
+    solution = solve_lp(problem)
+    assert solution.objective == pytest.approx(6.0)
+    assert verify_solution(problem, solution, TOL) == []
 
 
 def test_build_lp_rejects_a_contact_with_an_undeclared_node():
