@@ -11,11 +11,20 @@ Every function here orders routes by the total key
 
     (delivery_time, hops, contact-id sequence)
 
-so results are deterministic. `earliest_delivery_route` is a label-setting
-search over contacts that expands successors lazily, one sibling at a
-time, from the plan's successor lists (`ContactPlan.successors`);
-`k_best_routes` layers the spur-node scheme (with the restriction that
-spurs start at or after the parent's own deviation point) on top of it.
+so results are deterministic.
+
+Route search reads a completion table, one per (plan, destination), built
+by one backward pass over the states on first use and kept on the plan.
+Its entry for node v and state a is the least route from v for traffic
+available after state a, with nothing suppressed. Fixing a route's first
+contact leaves its key monotone in the key of the rest, so the table is
+exact (Martins & Pascoal 2003; De Jonckere & Fraire 2020).
+`earliest_delivery_route` is one lookup in it when nothing is suppressed,
+and otherwise a best-first search whose labels pop in the order of the
+table's completion. `k_best_routes` layers the spur-node scheme (with the
+restriction that spurs start at or after the parent's own deviation
+point) on top of it, and composes each candidate's schedule from its
+parent's.
 """
 
 from __future__ import annotations
@@ -50,7 +59,8 @@ class Route:
     departure_time is the start of the first contact's scheduled
     transmission state; expiration is the earliest contact end (the route
     dies when any of its contacts ends); max_volume is the smallest
-    whole-window volume along the chain.
+    whole-window volume along the chain. states holds the state each
+    contact transmits in; it takes no part in comparisons.
     """
 
     contacts: tuple[int, ...]
@@ -61,6 +71,7 @@ class Route:
     hops: int
     expiration: float
     max_volume: int
+    states: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def sort_key(self) -> tuple[float, int, tuple[int, ...]]:
         return (self.delivery_time, self.hops, self.contacts)
@@ -85,6 +96,23 @@ class RouteTable:
         return sorted(self.routes)
 
 
+def _route(plan: ContactPlan, ids: tuple[int, ...], states: tuple[int, ...]) -> Route:
+    """The Route for a node-connected id chain and its transmission states."""
+    index = _index(plan)
+    grid = plan.grid
+    return Route(
+        contacts=ids,
+        source=plan.contact(ids[0]).from_node,
+        destination=index.to_node[ids[-1]],
+        departure_time=grid.state_start(states[0]),
+        delivery_time=grid.state_end(states[-1]),
+        hops=len(ids),
+        expiration=min(map(index.end.__getitem__, ids)),
+        max_volume=min(map(plan.volumes.__getitem__, ids)),
+        states=states,
+    )
+
+
 def route_attributes(plan: ContactPlan, contacts: list[int], t_now: float = 0.0) -> Route:
     """Schedule a contact-id chain greedily from t_now and derive its
     attributes.
@@ -93,7 +121,7 @@ def route_attributes(plan: ContactPlan, contacts: list[int], t_now: float = 0.0)
     node-connected, or some contact has no usable state at or after the
     traffic's arrival (including a first contact already ended at t_now).
     """
-    ids = list(contacts)
+    ids = tuple(contacts)
     if not ids:
         raise RouteError("route must contain at least one contact")
     try:
@@ -107,39 +135,119 @@ def route_attributes(plan: ContactPlan, contacts: list[int], t_now: float = 0.0)
                 f"but contact {nxt.contact_id} starts at node {nxt.from_node}"
             )
 
-    grid = plan.grid
     windows = plan.windows
-    avail = grid.first_state_starting_at_or_after(t_now) - 1
-    departure_time = 0.0
-    for i, c in enumerate(chain):
-        first, last = windows[c.contact_id]
-        if last <= avail:
+    avail = plan.grid.first_state_starting_at_or_after(t_now) - 1
+    states = []
+    for i, cid in enumerate(ids):
+        first, last = windows[cid]
+        avail = max(avail + 1, first)
+        if avail > last:
             raise RouteError(
-                f"contact {c.contact_id} has no transmission state at or after "
-                f"{'t_now' if i == 0 else f'contact {chain[i - 1].contact_id}'}"
+                f"contact {cid} has no transmission state at or after "
+                f"{'t_now' if i == 0 else f'contact {ids[i - 1]}'}"
             )
-        q = max(avail + 1, first)
-        if i == 0:
-            departure_time = grid.state_start(q)
-        avail = q
-
-    volumes = plan.volumes
-    return Route(
-        contacts=tuple(ids),
-        source=chain[0].from_node,
-        destination=chain[-1].to_node,
-        departure_time=departure_time,
-        delivery_time=grid.state_end(avail),
-        hops=len(chain),
-        expiration=min(c.end for c in chain),
-        max_volume=min(volumes[cid] for cid in ids),
-    )
+        states.append(avail)
+    return _route(plan, ids, tuple(states))
 
 
-def _require_nodes(plan: ContactPlan, *node_ids: int) -> None:
-    known = plan.node_ids
+# A completion: (delivery state, hops, contact ids, transmission states).
+_Completion = tuple[int, int, tuple[int, ...], tuple[int, ...]]
+
+
+class _RouteIndex:
+    """A plan's contacts as route search reads them, and its completion
+    tables by destination. Kept on the plan (`ContactPlan._routing`).
+
+    nodes is the set of declared node ids; to_node and end give each
+    contact's receiving node and end time by id. out[v] lists (first, last,
+    contact_id, to_node) for every contact from v with a nonempty window;
+    starting[s] and covering[s] list (contact_id, from_node, to_node) for
+    the contacts whose window starts at state s and for those that cover
+    s after their first state.
+    """
+
+    def __init__(self, plan: ContactPlan):
+        n = plan.grid.state_count
+        self.nodes = plan.node_ids
+        self.out: dict[int, list[tuple[int, int, int, int]]] = {v.node_id: [] for v in plan.nodes}
+        self.to_node: dict[int, int] = {}
+        self.end: dict[int, float] = {}
+        self.starting: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
+        self.covering: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
+        self.tables: dict[int, list[dict[int, _Completion]]] = {}
+        windows = plan.windows
+        for c in plan.contacts:
+            cid, v, w = c.contact_id, c.from_node, c.to_node
+            first, last = windows[cid]
+            self.to_node[cid] = w
+            self.end[cid] = c.end
+            if first > last:
+                continue
+            self.out.setdefault(v, []).append((first, last, cid, w))
+            self.starting[first].append((cid, v, w))
+            for s in range(first + 1, last + 1):
+                self.covering[s].append((cid, v, w))
+
+    def completions(self, dest: int) -> list[dict[int, _Completion]]:
+        """rows[a][v]: the least route from v to dest for traffic available
+        after state a, for a = 0 .. state_count; a node with no route is
+        absent.
+
+        One backward pass over a. A contact transmits in q = max(a + 1,
+        first), so for every a below its first state it offers one fixed
+        candidate, which joins a running per-node minimum once; only the
+        contacts covering state a + 1 after their first state are re-read
+        at each a. Candidates from one node never tie on their first
+        contact id, so (delivery, hops, first id) orders them, and a
+        candidate's id and state tuples are built only when it improves
+        its node's entry.
+        """
+        rows = self.tables.get(dest)
+        if rows is not None:
+            return rows
+        n = len(self.starting) - 1
+        rows = [{} for _ in range(n + 1)]
+        fixed: dict[int, _Completion] = {}
+
+        def offer(row, contacts, nxt, s):
+            # Each contact transmits in state s and goes on by nxt = rows[s].
+            for cid, v, w in contacts:
+                if v == dest:
+                    continue
+                if w == dest:
+                    d, h, rest = s, 1, None
+                else:
+                    rest = nxt.get(w)
+                    if rest is None:
+                        continue
+                    d, h = rest[0], rest[1] + 1
+                cur = row.get(v)
+                if cur is None or (d, h, cid) < (cur[0], cur[1], cur[2][0]):
+                    if rest is None:
+                        row[v] = (d, h, (cid,), (s,))
+                    else:
+                        row[v] = (d, h, (cid,) + rest[2], (s,) + rest[3])
+
+        for a in range(n - 1, -1, -1):
+            s = a + 1
+            nxt = rows[s]
+            offer(fixed, self.starting[s], nxt, s)
+            row = rows[a] = dict(fixed)
+            offer(row, self.covering[s], nxt, s)
+        self.tables[dest] = rows
+        return rows
+
+
+def _index(plan: ContactPlan) -> _RouteIndex:
+    index = plan._routing
+    if index is None:
+        index = plan._routing = _RouteIndex(plan)
+    return index
+
+
+def _require_nodes(index: _RouteIndex, *node_ids: int) -> None:
     for nid in node_ids:
-        if nid not in known:
+        if nid not in index.nodes:
             raise KeyError(f"unknown node {nid}")
 
 
@@ -157,30 +265,25 @@ def earliest_delivery_route(
     Suppressed contacts and nodes are excluded from the search, which is
     what the k-best layer needs to force deviations.
 
-    The search labels contacts with (arrival_state, hops, id sequence)
-    and settles them in key order. A label is discarded when a settled
-    label at the same contact arrives no later, uses no more hops and has
-    a no-larger id sequence: any continuation then does at least as well
-    from the settled label. The id term is needed because the key breaks
-    ties on ids; (arrival_state, hops) alone can discard the label whose
-    continuation ties on delivery and hops with the smaller ids.
+    With nothing suppressed the answer is the completion table's entry
+    for the source and the traffic's availability at t_now (after the
+    last state that starts before t_now). Otherwise the search is
+    best-first over labels, each a contact prefix from the source. A
+    label's key is its prefix extended by the table's completion from
+    its last node and state. That completion ignores the suppressions, so
+    the key is a lower bound on every allowed route through the label,
+    and it is attained when the completion uses no suppressed contact or
+    node. The first popped label whose completion is allowed is the
+    answer; any other popped label pushes its allowed children that have
+    a completion, each of whose keys is no less than its own.
 
     Labels carry no visited-node set. A walk that revisits a node loses to
     its shortcut, the walk with the loop cut out, which delivers no later
-    in fewer hops; so the best route is loop-free (Yen 1971; Fraire,
-    De Jonckere & Burleigh 2021).
-
-    Successors are expanded lazily. The children of a label at node v
-    arriving after state a are the contacts in `plan.successors(v, a)`,
-    already in heap-key order: siblings share hops and id prefix, so
-    their keys differ only in (transmission state, last contact id). A
-    popped label pushes its next unsuppressed sibling and, unless it is
-    dominated, its own first unsuppressed child. The heap then always
-    holds the least unpopped child of every expanded label, which is the
-    least of all the children an eager expansion would have pushed; so
-    labels pop in the same order, and the result is the same.
+    in fewer hops and avoids whatever the walk avoids; so the answer is
+    loop-free (Yen 1971; Fraire, De Jonckere & Burleigh 2021).
     """
-    _require_nodes(plan, source, dest)
+    index = _index(plan)
+    _require_nodes(index, source, dest)
     if source == dest:
         raise ValueError("source and destination must differ")
     sup_c = frozenset(suppressed_contacts)
@@ -188,49 +291,41 @@ def earliest_delivery_route(
     if source in sup_n:
         return None
 
-    successors = plan.successors
-    start_avail = plan.grid.first_state_starting_at_or_after(t_now) - 1
+    rows = index.completions(dest)
+    start = max(plan.grid.first_state_starting_at_or_after(t_now) - 1, 0)
+    best = rows[start].get(source) if start < len(rows) else None
+    if best is None:
+        return None
+    if not sup_c and not sup_n:
+        return _route(plan, best[2], best[3])
 
-    # Heap entries: (arrival_state, hops, id sequence, node, siblings,
-    # index in siblings). Sequences are unique per entry, so comparisons
-    # never reach the node. The source's label is expanded up front: it
-    # has no siblings and nothing can dominate it.
-    heap: list[_Label] = []
-    _push_next(heap, successors(source, start_avail), 0, 1, (), sup_c, sup_n)
-    settled: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
-
+    # Heap entries: (delivery, hops, ids, prefix length, node, state,
+    # prefix states, completion states). A label's ids and prefix length
+    # identify it, so comparisons never reach the node.
+    to_node = index.to_node.__getitem__
+    out = index.out
+    heap = [(best[0], best[1], best[2], 0, source, start, (), best[3])]
     while heap:
-        avail, hops, seq, node, siblings, i = heapq.heappop(heap)
-        if node == dest:
-            return route_attributes(plan, list(seq), t_now)
-        _push_next(heap, siblings, i + 1, hops, seq[:-1], sup_c, sup_n)
-        prior = settled.setdefault(seq[-1], [])
-        if any(a <= avail and h <= hops and s <= seq for a, h, s in prior):
-            continue
-        prior.append((avail, hops, seq))
-        _push_next(heap, successors(node, avail), 0, hops + 1, seq, sup_c, sup_n)
+        _, _, ids, plen, node, avail, states, rest = heapq.heappop(heap)
+        tail = ids[plen:]
+        if sup_c.isdisjoint(tail) and sup_n.isdisjoint(map(to_node, tail)):
+            return _route(plan, ids, states + rest)
+        prefix = ids[:plen]
+        hops = plen + 1
+        for first, last, cid, w in out[node]:
+            if last <= avail or cid in sup_c or w in sup_n:
+                continue
+            q = first if first > avail else avail + 1
+            if w == dest:
+                heapq.heappush(heap, (q, hops, prefix + (cid,), hops, w, q, states + (q,), ()))
+                continue
+            nxt = rows[q].get(w)
+            if nxt is not None:
+                heapq.heappush(heap, (
+                    nxt[0], hops + nxt[1], prefix + (cid,) + nxt[2], hops, w, q,
+                    states + (q,), nxt[3],
+                ))
     return None
-
-
-_Label = tuple[int, int, tuple[int, ...], int, tuple[tuple[int, int, int], ...], int]
-
-
-def _push_next(
-    heap: list[_Label],
-    siblings: tuple[tuple[int, int, int], ...],
-    i: int,
-    hops: int,
-    prefix: tuple[int, ...],
-    sup_c: frozenset[int],
-    sup_n: frozenset[int],
-) -> None:
-    """Push the first label of siblings[i:] whose contact and receiving
-    node are not suppressed, extending prefix; push nothing if none is."""
-    for j in range(i, len(siblings)):
-        q, cid, to_node = siblings[j]
-        if cid not in sup_c and to_node not in sup_n:
-            heapq.heappush(heap, (q, hops, prefix + (cid,), to_node, siblings, j))
-            return
 
 
 def k_best_routes(
@@ -247,6 +342,10 @@ def k_best_routes(
     pinned, the prefix's next contacts suppressed, and the prefix's nodes
     (except the spur node itself) suppressed. Returns fewer routes when
     fewer exist.
+
+    Greedy scheduling is prefix-closed, so a candidate's schedule is its
+    parent's states up to the spur node followed by the spur's states,
+    and the spur search starts where the parent's prefix delivers.
     """
     if k_routes < 1:
         raise ValueError(f"k_routes must be >= 1, got {k_routes}")
@@ -254,6 +353,8 @@ def k_best_routes(
     if first is None:
         return []
 
+    grid = plan.grid
+    index = _index(plan)
     accepted: list[Route] = [first]
     deviation: dict[tuple[int, ...], int] = {first.contacts: 0}
     candidates: list[tuple[tuple[float, int, tuple[int, ...]], int, Route]] = []
@@ -261,11 +362,11 @@ def k_best_routes(
 
     while len(accepted) < k_routes:
         parent = accepted[-1]
-        parent_nodes = _node_chain(plan, parent)
+        parent_nodes = [source, *map(index.to_node.__getitem__, parent.contacts)]
         for j in range(deviation[parent.contacts], parent.hops):
             root = parent.contacts[:j]
             spur_node = parent_nodes[j]
-            t_spur = t_now if j == 0 else _chain_arrival(plan, root, t_now)
+            t_spur = t_now if j == 0 else grid.state_end(parent.states[j - 1])
             spur_suppressed = {
                 r.contacts[j]
                 for r in accepted
@@ -281,7 +382,7 @@ def k_best_routes(
             if total in seen:
                 continue
             seen.add(total)
-            route = route_attributes(plan, list(total), t_now)
+            route = _route(plan, total, parent.states[:j] + spur.states)
             heapq.heappush(candidates, (route.sort_key(), j, route))
         if not candidates:
             break
@@ -292,19 +393,6 @@ def k_best_routes(
     return sorted(accepted, key=Route.sort_key)
 
 
-def _node_chain(plan: ContactPlan, route: Route) -> list[int]:
-    """Node sequence visited by a route: source, then each contact's receiver."""
-    nodes = [route.source]
-    for cid in route.contacts:
-        nodes.append(plan.contact(cid).to_node)
-    return nodes
-
-
-def _chain_arrival(plan: ContactPlan, contact_ids: tuple[int, ...], t_now: float) -> float:
-    """Arrival time at the end of a contact-id prefix scheduled from t_now."""
-    return route_attributes(plan, list(contact_ids), t_now).delivery_time
-
-
 def build_route_table(
     plan: ContactPlan,
     owner: int,
@@ -313,7 +401,7 @@ def build_route_table(
     destinations: set[int],
 ) -> RouteTable:
     """Compute the owner's k-best route lists toward each destination."""
-    _require_nodes(plan, owner, *destinations)
+    _require_nodes(_index(plan), owner, *destinations)
     table = RouteTable(owner=owner, grid=plan.grid)
     for dest in sorted(destinations):
         if dest == owner:

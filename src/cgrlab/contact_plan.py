@@ -17,9 +17,8 @@ Canonical serialization sorts nodes by id and contacts by (start, id).
 Contacts keep their times in seconds, as written. Every layer that works
 in states reads the plan's integer view instead: `ContactPlan.windows`
 (each contact's first and last covered state), `ContactPlan.volumes`,
-`ContactPlan.ranks`, `ContactPlan.arcs` and `ContactPlan.successors`. The
-plan derives them from the grid once, on first use, so no layer re-derives
-a state index from a time.
+`ContactPlan.ranks` and `ContactPlan.arcs`. The plan derives them from the
+grid once, on first use, so no layer re-derives a state index from a time.
 """
 
 from __future__ import annotations
@@ -197,12 +196,13 @@ class ContactPlan:
     Instances are treated as immutable values once constructed.
 
     The plan's integer view of time lives here: `windows`, `volumes`,
-    `ranks`, `arcs` and the `successors` lists are computed from the grid
-    once per plan, on first use, and every layer reads them instead of
-    converting contact times to states itself. Plans that are never
-    routed, simulated or solved (such as a generated plan that is only
-    serialized) never compute them. The LP keeps its model layouts on the
-    plan too, one per class set (`lp_oracle.build_lp`).
+    `ranks` and `arcs` are computed from the grid once per plan, on first
+    use, and every layer reads them instead of converting contact times
+    to states itself. Plans that are never routed, simulated or solved
+    (such as a generated plan that is only serialized) never compute them.
+    The LP keeps its model layouts on the plan too, one per class set
+    (`lp_oracle.build_lp`), and route search its contact index and
+    completion tables, one per destination (`contact_graph`).
     """
 
     grid: StateGrid
@@ -210,20 +210,14 @@ class ContactPlan:
     contacts: list[Contact]
 
     _by_id: dict[int, Contact] = field(init=False, repr=False, compare=False)
-    _outgoing: dict[int, list[Contact]] = field(init=False, repr=False, compare=False)
-    _successors: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    _routing: object = field(init=False, repr=False, compare=False)
     _lp_layouts: dict[tuple, object] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.nodes = sorted(self.nodes, key=lambda n: n.node_id)
         self.contacts = sorted(self.contacts, key=lambda c: (c.start, c.contact_id))
         self._by_id = {c.contact_id: c for c in self.contacts}
-        self._outgoing = {n.node_id: [] for n in self.nodes}
-        for c in self.contacts:
-            self._outgoing.setdefault(c.from_node, []).append(c)
-        self._successors = {}
+        self._routing = None
         self._lp_layouts = {}
 
     @property
@@ -235,26 +229,6 @@ class ContactPlan:
             return self._by_id[contact_id]
         except KeyError:
             raise KeyError(f"unknown contact {contact_id}") from None
-
-    def successors(self, node_id: int, avail: int) -> tuple[tuple[int, int, int], ...]:
-        """The contacts from node_id that traffic available after state
-        avail can still take, as (q, contact_id, to_node) sorted ascending.
-
-        q = max(avail + 1, first) is the state the contact would transmit
-        in; contacts whose window ends by avail are left out. Each tuple is
-        built on first use and kept for the plan's lifetime.
-        """
-        key = (node_id, avail)
-        found = self._successors.get(key)
-        if found is None:
-            windows = self.windows
-            found = tuple(sorted(
-                (max(avail + 1, w.first), c.contact_id, c.to_node)
-                for c in self._outgoing.get(node_id, ())
-                if (w := windows[c.contact_id]).last > avail
-            ))
-            self._successors[key] = found
-        return found
 
     @cached_property
     def windows(self) -> dict[int, Window]:

@@ -976,8 +976,11 @@ def verify_solution(
     Returns one Violation per constraint off by more than tol, in that
     family order, by flow for the per-flow checks and by class, then
     timestamp, then node for the rows; an empty list certifies the
-    solution. Raises ValueError on status or shape mismatches (unknown
-    variable keys, or flows on a contact in a state it does not cover).
+    solution. A solution holding a NaN or infinite value gets one
+    "finite" violation per such value instead, and nothing else: every
+    check is a comparison, and a comparison with NaN is false. Raises
+    ValueError on status or shape mismatches (unknown variable keys, or
+    flows on a contact in a state it does not cover).
     """
     if solution.status != "optimal":
         raise ValueError("only optimal solutions can be verified")
@@ -1036,17 +1039,23 @@ def verify_solution(
         cid, q, _ = list(X)[np.flatnonzero(~found)[0]]
         raise ValueError(f"solution shape mismatch: contact {cid} has no arc in state {q}")
 
+    b_val = np.fromiter(B.values(), dtype=np.float64, count=len(B))
+    s_val = np.fromiter(S.values(), dtype=np.float64, count=len(S))
+    if not (np.isfinite(x_val).all() and np.isfinite(b_val).all() and np.isfinite(s_val).all()):
+        return [
+            Violation("finite", where(key), math.inf)
+            for values, where in ((X, str), (B, str), (S, "slack k{}".format))
+            for key, value in values.items()
+            if not math.isfinite(value)
+        ]
+
     b_t, b_node, b_com = np.fromiter(
         chain.from_iterable(B), dtype=np.int64, count=3 * len(B)
     ).reshape(-1, 3).T
     buffers = np.zeros((n_coms, f + 1, n_nodes))
-    buffers[b_com, b_t, np.searchsorted(node_arr, b_node)] = np.fromiter(
-        B.values(), dtype=np.float64, count=len(B)
-    )
+    buffers[b_com, b_t, np.searchsorted(node_arr, b_node)] = b_val
     slacks = np.zeros(n_coms)
-    slacks[np.fromiter(S.keys(), dtype=np.int64, count=len(S))] = np.fromiter(
-        S.values(), dtype=np.float64, count=len(S)
-    )
+    slacks[np.fromiter(S.keys(), dtype=np.int64, count=len(S))] = s_val
 
     out: list[Violation] = []
     loud = np.abs(x_val) > tol
@@ -1262,15 +1271,24 @@ def solution_to_json(solution: LpSolution) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite number {value!r}")
+    return number
+
+
 def solution_from_json(text: str) -> LpSolution:
+    """Read a solution document; NaN, infinities and numbers that overflow
+    a float are malformed, like any other value that is not a number."""
     doc = json.loads(text)
     try:
         return LpSolution(
             status=str(doc["status"]),
-            objective=None if doc["objective"] is None else float(doc["objective"]),
-            x_flows={(int(c), int(q), int(k)): float(v) for c, q, k, v in doc.get("x", [])},
-            buffers={(int(t), int(n), int(k)): float(v) for t, n, k, v in doc.get("b", [])},
-            slacks={int(k): float(v) for k, v in doc.get("slack", [])},
+            objective=None if doc["objective"] is None else _finite(doc["objective"]),
+            x_flows={(int(c), int(q), int(k)): _finite(v) for c, q, k, v in doc.get("x", [])},
+            buffers={(int(t), int(n), int(k)): _finite(v) for t, n, k, v in doc.get("b", [])},
+            slacks={int(k): _finite(v) for k, v in doc.get("slack", [])},
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"malformed solution document: {e}") from None

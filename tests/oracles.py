@@ -182,7 +182,9 @@ def reference_verify_solution(
     problem: LpProblem, solution: LpSolution, tol: float = 1e-6
 ) -> list[Violation]:
     """`verify_solution` written loop by loop: the same violations, in the
-    same order and with the same amounts."""
+    same order and with the same amounts. A NaN or infinite value is a
+    "finite" violation, and a solution holding one is checked no
+    further."""
     if solution.status != "optimal":
         raise ValueError("only optimal solutions can be verified")
     unknown_x = sum(key not in problem.x_index for key in solution.x_flows)
@@ -204,15 +206,23 @@ def reference_verify_solution(
 
     X = solution.x_flows
     B = solution.buffers
+    for cid, q, _ in X:
+        if (cid, q) not in arc_at:
+            raise ValueError(f"solution shape mismatch: contact {cid} has no arc in state {q}")
+
     out: list[Violation] = []
+    for values, where in ((X, str), (B, str), (solution.slacks, "slack k{}".format)):
+        for key, val in values.items():
+            if not math.isfinite(val):
+                out.append(Violation("finite", where(key), math.inf))
+    if out:
+        return out
+
     net: dict[tuple[int, int, int], float] = {}
     load: dict[tuple[int, int], float] = {}
-
     for key, val in X.items():
         cid, q, k = key
-        a = arc_at.get((cid, q))
-        if a is None:
-            raise ValueError(f"solution shape mismatch: contact {cid} has no arc in state {q}")
+        a = arc_at[(cid, q)]
         if val < -tol:
             out.append(Violation("nonnegative", str(key), -val))
         if abs(val) > tol:

@@ -240,6 +240,23 @@ def test_verify_rejects_tampered_solution(plan_file, demands_file, tmp_path, cap
     assert "bal" in err
 
 
+def test_verify_reports_a_nan_solution_as_an_error(plan_file, demands_file, tmp_path, capsys):
+    saved = tmp_path / "solution.json"
+    run_cli(capsys, "lp", "--plan", plan_file, "--demands", demands_file,
+            "--save-solution", saved)
+    doc = json.loads(saved.read_text())
+    doc["x"][0][3] = "NUMBER"
+    saved.write_text(json.dumps(doc).replace('"NUMBER"', "NaN"))
+    code, out, err = run_cli(
+        capsys, "verify", "--plan", plan_file, "--demands", demands_file,
+        "--solution", saved,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: malformed solution document")
+    assert "Traceback" not in err
+
+
 def test_sweep_and_report(tmp_path, capsys):
     config = {
         "topology": {"node_count": 6, "density": 0.3, "capacity": 5,

@@ -86,6 +86,20 @@ def test_earliest_route_breaks_delivery_and_hop_ties_on_contact_ids():
     r = earliest_delivery_route(plan, 5, 2)
     assert r.contacts == (6, 9, 16)
     assert r.delivery_time == 60.0
+    # The same tie the other way round: from t = 10 the smaller ids (6)
+    # leave in a state their contact covers after its first, the larger
+    # (22) in their contact's first state.
+    plan = parse_contact_plan(
+        "plan 6 10\n"
+        "node 2 inf\nnode 4 inf\nnode 5 inf\nnode 6 inf\n"
+        "contact 6 5 6 0 30 1\n"
+        "contact 22 5 6 30 50 1\n"
+        "contact 9 6 4 10 60 1\n"
+        "contact 16 4 2 50 60 1\n"
+    )
+    r = earliest_delivery_route(plan, 5, 2, 10.0)
+    assert r.contacts == (6, 9, 16)
+    assert r.delivery_time == 60.0
 
 
 def test_earliest_route_unreachable(fig1_plan):
@@ -175,18 +189,22 @@ def test_earliest_route_matches_enumeration_on_seeded_plans():
 
 
 def test_earliest_route_with_suppressions_matches_enumeration():
-    for seed in range(80):
+    for seed, max_contacts in itertools.product(range(80), (8, 16, 24)):
         rng = random.Random(1000 + seed)
-        plan = random_small_plan(rng)
+        plan = random_small_plan(rng, max_contacts)
         nodes = sorted(plan.node_ids)
         src, dst = nodes[0], nodes[-1]
         cids = [c.contact_id for c in plan.contacts]
         sup_c = set(rng.sample(cids, min(2, len(cids))))
+        # Yen suppresses contacts that leave the spur node.
+        leaving = [c.contact_id for c in plan.contacts if c.from_node == src]
+        sup_c |= set(rng.sample(leaving, rng.randint(0, len(leaving))))
         middle = [n for n in nodes if n not in (src, dst)]
-        sup_n = set(rng.sample(middle, min(1, len(middle))))
-        # Start states other than 0, on a state boundary and mid-state.
-        d = plan.grid.state_duration
-        for t_now in (0.0, 0.5 * d, d, 1.5 * d):
+        sup_n = set(rng.sample(middle, rng.randint(0, min(3, len(middle)))))
+        # Start states before, at, inside and past the horizon, on a state
+        # boundary and mid-state.
+        d, horizon = plan.grid.state_duration, plan.grid.horizon
+        for t_now in (-d, 0.0, 0.5 * d, d, horizon, horizon + d):
             expected = enumerate_routes(plan, src, dst, t_now, sup_c, sup_n)
             got = earliest_delivery_route(plan, src, dst, t_now, sup_c, sup_n)
             if not expected:
@@ -195,6 +213,29 @@ def test_earliest_route_with_suppressions_matches_enumeration():
                 assert got.contacts == expected[0][2]
                 assert got.delivery_time == pytest.approx(expected[0][0])
                 assert not set(got.contacts) & sup_c
+
+
+def test_earliest_route_falls_back_to_a_second_child_past_a_suppressed_node():
+    # From node 1 the best child is node 2 (contact 2), whose unconstrained
+    # completion 3, 4 runs through node 4. With node 4 suppressed, node 2
+    # can still deliver by contact 6, but node 3's route 1, 5 ties with it
+    # on delivery and hops and has the smaller ids.
+    plan = parse_contact_plan(
+        "plan 4 10\n"
+        "node 1 inf\nnode 2 inf\nnode 3 inf\nnode 4 inf\nnode 5 inf\n"
+        "contact 1 1 3 0 10 1\n"
+        "contact 2 1 2 0 10 1\n"
+        "contact 3 2 4 10 20 1\n"
+        "contact 4 4 5 20 30 1\n"
+        "contact 5 3 5 30 40 1\n"
+        "contact 6 2 5 30 40 1\n"
+    )
+    assert earliest_delivery_route(plan, 1, 5).contacts == (2, 3, 4)
+    got = earliest_delivery_route(plan, 1, 5, suppressed_nodes={4})
+    assert got.contacts == (1, 5) == enumerate_routes(plan, 1, 5, 0.0, set(), {4})[0][2]
+    assert got.states == (1, 4)
+    got = earliest_delivery_route(plan, 1, 5, suppressed_contacts={1}, suppressed_nodes={4})
+    assert got.contacts == (2, 6)
 
 
 def test_k_best_matches_enumeration_on_seeded_plans():
@@ -237,16 +278,22 @@ def test_routes_never_revisit_nodes_and_schedule_increases():
             # transmission states must strictly increase along the chain
             grid = plan.grid
             avail = 0
+            states = []
             for cid in r.contacts:
                 first, last = plan.windows[cid]
                 q = max(avail + 1, first)
                 assert q <= last
                 avail = q
+                states.append(q)
             assert grid.state_end(avail) == r.delivery_time
+            # The composed schedule is the greedy one, as route_attributes
+            # schedules the chain from scratch.
+            assert r.states == tuple(states)
+            assert route_attributes(plan, list(r.contacts), 0.0).states == r.states
 
 
 def test_interleaved_searches_on_plans_differing_in_one_window():
-    # Each plan keeps its own successor lists: searches alternating between
+    # Each plan keeps its own completion tables: searches alternating between
     # two plans that differ only in one contact's window must each see
     # their own plan.
     differing = 0

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import random
 
@@ -21,6 +22,7 @@ from cgrlab.lp_oracle import (
     Commodity,
     LpSession,
     LpSolution,
+    Violation,
     _within_bounds,
     build_lp,
     demands_to_commodities,
@@ -409,8 +411,12 @@ def test_array_verifier_matches_the_loop_verifier(seed, soft):
     for values in (missing.x_flows, missing.buffers, missing.slacks):
         for key in rng.sample(list(values), len(values) // 3):
             del values[key]
+    nonfinite = copy(mutated)
+    for values in (nonfinite.x_flows, nonfinite.buffers, nonfinite.slacks):
+        for key in rng.sample(list(values), min(len(values), rng.randint(0, 2))):
+            values[key] = rng.choice([math.nan, math.inf, -math.inf])
 
-    for candidate in (solution, mutated, zero, missing):
+    for candidate in (solution, mutated, zero, missing, nonfinite):
         got = verify_solution(widened, candidate, TOL)
         want = reference_verify_solution(widened, candidate, TOL)
         assert [(v.constraint, v.location) for v in got] == [
@@ -418,6 +424,40 @@ def test_array_verifier_matches_the_loop_verifier(seed, soft):
         ]
         for a, b in zip(got, want):
             assert math.isclose(a.amount, b.amount, rel_tol=1e-12)
+
+
+def test_nonfinite_values_are_violations_in_both_verifiers(fig1_solved):
+    # Every comparison with NaN is false, so a NaN solution used to pass
+    # every check.
+    problem, solution = fig1_solved
+    nan = solution_from_json(solution_to_json(solution))
+    nan.x_flows = dict.fromkeys(nan.x_flows, math.nan)
+    nan.buffers = dict.fromkeys(nan.buffers, math.nan)
+    got = verify_solution(problem, nan, TOL)
+    assert got == reference_verify_solution(problem, nan, TOL)
+    assert [v.location for v in got] == [str(key) for key in (*nan.x_flows, *nan.buffers)]
+    assert {v.constraint for v in got} == {"finite"}
+
+    one = solution_from_json(solution_to_json(solution))
+    key = next(iter(one.buffers))
+    one.buffers[key] = -math.inf
+    got = verify_solution(problem, one, TOL)
+    assert got == reference_verify_solution(problem, one, TOL) == [
+        Violation("finite", str(key), math.inf)
+    ]
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("field", ["objective", "x", "b"])
+def test_solution_documents_with_nonfinite_numbers_are_malformed(fig1_solved, field, number):
+    doc = json.loads(solution_to_json(fig1_solved[1]))
+    if field == "objective":
+        doc["objective"] = "NUMBER"
+    else:
+        doc[field][0][-1] = "NUMBER"
+    text = json.dumps(doc).replace('"NUMBER"', number)
+    with pytest.raises(ValueError, match="malformed solution document"):
+        solution_from_json(text)
 
 
 def test_verify_rejects_shape_mismatch(fig1_solved):
