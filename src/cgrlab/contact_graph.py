@@ -19,12 +19,12 @@ Its entry for node v and state a is the least route from v for traffic
 available after state a, with nothing suppressed. Fixing a route's first
 contact leaves its key monotone in the key of the rest, so the table is
 exact (Martins & Pascoal 2003; De Jonckere & Fraire 2020).
-`earliest_delivery_route` is one lookup in it when nothing is suppressed,
-and otherwise a best-first search whose labels pop in the order of the
-table's completion. `k_best_routes` layers the spur-node scheme (with the
-restriction that spurs start at or after the parent's own deviation
-point) on top of it, and composes each candidate's schedule from its
-parent's.
+`earliest_delivery_route` is a best-first search whose labels pop in the
+order of the table's completion, settling each (node, state) once; with
+nothing suppressed its first pop, one lookup, is the answer.
+`k_best_routes` layers the spur-node scheme (with the restriction that
+spurs start at or after the parent's own deviation point) on top of it,
+and composes each candidate's schedule from its parent's.
 """
 
 from __future__ import annotations
@@ -265,17 +265,23 @@ def earliest_delivery_route(
     Suppressed contacts and nodes are excluded from the search, which is
     what the k-best layer needs to force deviations.
 
-    With nothing suppressed the answer is the completion table's entry
-    for the source and the traffic's availability at t_now (after the
-    last state that starts before t_now). Otherwise the search is
-    best-first over labels, each a contact prefix from the source. A
-    label's key is its prefix extended by the table's completion from
-    its last node and state. That completion ignores the suppressions, so
-    the key is a lower bound on every allowed route through the label,
-    and it is attained when the completion uses no suppressed contact or
-    node. The first popped label whose completion is allowed is the
-    answer; any other popped label pushes its allowed children that have
-    a completion, each of whose keys is no less than its own.
+    The search is best-first over labels, each a contact prefix from the
+    source; the first label is the empty prefix, at the traffic's
+    availability at t_now (after the last state that starts before
+    t_now). A label's key is its prefix extended by the completion
+    table's entry for its last node and state. That completion ignores
+    the suppressions, so the key is a lower bound on every allowed route
+    through the label, and it is attained when the completion uses no
+    suppressed contact or node. The first popped label whose completion
+    is allowed is the answer, so with nothing suppressed the answer is
+    the first label's table entry. Any other popped label pushes its
+    allowed children that have a completion, each of whose keys is no
+    less than its own.
+
+    A popped label settles its (node, state): a later label there shares
+    its completion, so it has the larger (hops, prefix ids) and loses to
+    the first on every continuation, and it is dropped. Pops are thus
+    bounded by nodes x states.
 
     Labels carry no visited-node set. A walk that revisits a node loses to
     its shortcut, the walk with the loop cut out, which delivers no later
@@ -296,8 +302,6 @@ def earliest_delivery_route(
     best = rows[start].get(source) if start < len(rows) else None
     if best is None:
         return None
-    if not sup_c and not sup_n:
-        return _route(plan, best[2], best[3])
 
     # Heap entries: (delivery, hops, ids, prefix length, node, state,
     # prefix states, completion states). A label's ids and prefix length
@@ -305,8 +309,12 @@ def earliest_delivery_route(
     to_node = index.to_node.__getitem__
     out = index.out
     heap = [(best[0], best[1], best[2], 0, source, start, (), best[3])]
+    settled: set[tuple[int, int]] = set()
     while heap:
         _, _, ids, plen, node, avail, states, rest = heapq.heappop(heap)
+        if (node, avail) in settled:
+            continue
+        settled.add((node, avail))
         tail = ids[plen:]
         if sup_c.isdisjoint(tail) and sup_n.isdisjoint(map(to_node, tail)):
             return _route(plan, ids, states + rest)

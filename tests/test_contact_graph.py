@@ -1,9 +1,12 @@
 import hashlib
+import heapq
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from cgrlab import contact_graph
 from cgrlab.contact_graph import (
     RouteError,
     build_route_table,
@@ -204,7 +207,7 @@ def test_earliest_route_with_suppressions_matches_enumeration():
         # Start states before, at, inside and past the horizon, on a state
         # boundary and mid-state.
         d, horizon = plan.grid.state_duration, plan.grid.horizon
-        for t_now in (-d, 0.0, 0.5 * d, d, horizon, horizon + d):
+        for t_now in (-d, 0.0, 0.5 * d, d, 1.5 * d, horizon, horizon + d):
             expected = enumerate_routes(plan, src, dst, t_now, sup_c, sup_n)
             got = earliest_delivery_route(plan, src, dst, t_now, sup_c, sup_n)
             if not expected:
@@ -236,6 +239,37 @@ def test_earliest_route_falls_back_to_a_second_child_past_a_suppressed_node():
     assert got.states == (1, 4)
     got = earliest_delivery_route(plan, 1, 5, suppressed_contacts={1}, suppressed_nodes={4})
     assert got.contacts == (2, 6)
+
+
+def test_search_settles_each_node_and_state_once(monkeypatch):
+    # S=1 reaches D=2 only by 1 -> X=3 -> Y=4 -> D. A clique C = 5..8 has
+    # contacts among itself, with Y both ways and to X, all over the
+    # horizon. The spur at Y (Y -> D and nodes S, X suppressed) has no
+    # allowed route, yet every walk through C and Y has a completion, via
+    # X or Y -> D. Settling (node, state) keeps its pops within nodes x
+    # states instead of one per walk.
+    states, clique = 8, range(5, 9)
+    pairs = [(1, 3, 0, 10), (3, 4, 10, 20), (4, 2, 0, 80)]
+    pairs += [(v, w, 0, 80) for v in clique for w in clique if v != w]
+    pairs += [(v, w, 0, 80) for c in clique for v, w in ((c, 4), (4, c), (c, 3))]
+    plan = parse_contact_plan(
+        f"plan {states} 10\n"
+        + "".join(f"node {n} inf\n" for n in range(1, 9))
+        + "".join(
+            f"contact {i} {v} {w} {a} {b} 1\n" for i, (v, w, a, b) in enumerate(pairs, 1)
+        )
+    )
+    pops = [0]
+
+    def heappop(heap):
+        pops[0] += 1
+        return heapq.heappop(heap)
+
+    counting = SimpleNamespace(heappush=heapq.heappush, heappop=heappop)
+    monkeypatch.setattr(contact_graph, "heapq", counting)
+    assert earliest_delivery_route(plan, 4, 2, 20.0, {3}, {1, 3}) is None
+    assert pops[0] <= len(plan.node_ids) * (states + 1)
+    assert [r.contacts for r in k_best_routes(plan, 1, 2, 0.0, 2)] == [(1, 2, 3)]
 
 
 def test_k_best_matches_enumeration_on_seeded_plans():
