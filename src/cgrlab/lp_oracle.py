@@ -74,15 +74,16 @@ Constraint families (names used in row tags and verifier reports):
               in states that end at or before its generation time, nor on
               arcs leaving its own destination;
 * ddl      -- for deadline traffic, the destination buffer holds the full
-              amount at every timestamp from the deadline onward;
+              amount at every timestamp from the deadline onward (the
+              solved model keeps only the rows not implied, see below);
 * fin      -- at the horizon all traffic resides at its destination.
 
 Each model commodity k lives in a window: from its generation timestamp
 g_k (a group's earliest) to the last state L_k in which its flow can
-matter. The model has flow variables only for
-states g_k < q <= L_k and buffer variables only for timestamps g_k..f;
-its init row sits at g_k and its bal rows cover g_k+1..f. Nothing outside
-the window can carry flow at an optimum:
+matter. The model has flow variables only for states g_k < q <= L_k and
+buffer variables only for timestamps g_k..L_k; its init row sits at g_k,
+its bal rows cover g_k+1..L_k, and its fin row reads B(L_k). Nothing
+outside the window can carry flow at an optimum:
 
 * before g_k no arc may send (no-early-send), so every buffer is zero
   until the supply appears at g_k;
@@ -90,11 +91,25 @@ the window can carry flow at an optimum:
   horizon f otherwise. Flow in a later state arrives too late to count,
   so an optimum never pays for it: in a hard model the class is wholly at
   its destination from the deadline on, and in a soft model without
-  finite buffers stranded traffic can stay where it is.
+  finite buffers stranded traffic can stay where it is;
+* past L_k the commodity has neither flow nor supply, so a bal row there
+  would only copy B(t - 1) into B(t). The model has no such rows or
+  columns: a buffer at a timestamp t > L_k is the column of B(L_k), which
+  fin, bufcap and the per-class index maps read in its place.
 
-A soft model with a finite buffer keeps the full horizon for deadline
-classes too: stranded traffic of an expired class may have to move on to
-free storage another class needs.
+A soft model with a finite buffer keeps the full horizon, L_k = f, for
+deadline classes too: stranded traffic of an expired class may have to
+move on to free storage another class needs.
+
+Of the ddl rows at the deadline index d_k and after it, the model keeps
+at most the first. No arc leaves a destination, so B(t, dst) never
+decreases and the row at d_k implies every later one. Where the window
+ends at the deadline, L_k = d_k, the fin row on B(L_k) implies that row
+too, so a commodity has a ddl row only when its window runs past its
+deadline: a deadline class of a soft model with a finite buffer. Leaving
+out copies and implied rows is standard presolve (Andersen & Andersen,
+"Presolving in linear programming", Math. Prog. 1995); the layout does it
+once, so HiGHS never sees them, warm or cold.
 
 A model's layout -- groups, index maps, objective, matrices, the rows
 that take the supplies and the columns they bound -- depends on the plan,
@@ -157,7 +172,7 @@ import numpy as np
 from scipy.optimize._highspy import _core as highs
 from scipy.sparse import csc_matrix, csr_matrix
 
-from .contact_plan import ContactPlan
+from .contact_plan import Contact, ContactPlan
 from .simulator import Demand, Metrics
 
 __all__ = [
@@ -245,7 +260,9 @@ class LpProblem:
     solution is: flows by (contact_id, state, class), buffers by (timestamp
     index, node, class), slacks by class, each mapping to the column that
     carries that class's variable, which the classes of one group share.
-    With one class per group, model commodities are the classes.
+    Buffer keys past the group's window end share its window-end column
+    (see the module docstring). With one class per group, model
+    commodities are the classes.
 
     The index maps, objective and matrices are shared, read-only, by every
     problem built on the same plan with the same weights, soft flag and
@@ -299,24 +316,21 @@ class LpProblem:
 
     @cached_property
     def eq_names(self) -> list[str]:
-        f = self.plan.grid.state_count
         node_ids = sorted(self.plan.node_ids)
+        _, last = _window_ends(self.plan, self.commodities, self.groups, self.soft)
         names = []
         for m, ks in enumerate(self.groups):
             gen = min(_generation_index(self.plan, self.commodities[k]) for k in ks)
             names += [f"init_n{v}_k{m}" for v in node_ids]
-            names += [f"bal_t{t}_n{v}_k{m}" for t in range(gen + 1, f + 1) for v in node_ids]
+            names += [f"bal_t{t}_n{v}_k{m}" for t in range(gen + 1, last[m] + 1) for v in node_ids]
             names += [f"fin_k{m}"] if self.soft else [f"fin_n{v}_k{m}" for v in node_ids]
         return names
 
     @cached_property
     def ub_names(self) -> list[str]:
         f = self.plan.grid.state_count
-        names = []
-        for m, ks in enumerate(self.groups):
-            dl = _deadline_index(self.plan, self.commodities[ks[0]])
-            if dl is not None:
-                names += [f"ddl_t{t}_k{m}" for t in range(dl, f + 1)]
+        dl, last = _window_ends(self.plan, self.commodities, self.groups, self.soft)
+        names = [f"ddl_t{dl[m]}_k{m}" for m in np.flatnonzero(dl < last).tolist()]
         capped = dict.fromkeys((cid, q) for cid, q, _ in self.x_index)
         names += [f"arccap_c{cid}_s{q}" for cid, q in capped]
         if self.commodities:
@@ -406,6 +420,19 @@ def _deadline_index(plan: ContactPlan, com: Commodity) -> int | None:
     if math.isinf(com.ttl):
         return None
     return plan.grid.floor_boundary_index(com.deadline)
+
+
+def _window_ends(
+    plan: ContactPlan, coms: tuple[Commodity, ...], groups: tuple[tuple[int, ...], ...], soft: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """(dl, last) per model commodity: its deadline index, f + 1 standing in
+    for "no deadline", and its window end L. The window ends at the
+    deadline only where the module docstring shows that loses nothing."""
+    f = plan.grid.state_count
+    deadlines = [_deadline_index(plan, coms[ks[0]]) for ks in groups]
+    dl = np.array([f + 1 if d is None else d for d in deadlines], dtype=np.int64)
+    cut = not soft or all(math.isinf(spec.buffer_capacity) for spec in plan.nodes)
+    return dl, np.minimum(dl, f) if cut else np.full(len(groups), f, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -544,14 +571,16 @@ def _build_layout(
     Model commodities are the (dst, deadline) groups of classes, numbered
     by their first class; a group's generation timestamp is its earliest
     class's. Columns are numbered X (arc-major, then model commodity), then
-    B (timestamp, node, model commodity, from the commodity's generation
-    timestamp on), then one slack per model commodity in soft mode.
-    Equality rows run per model commodity: init at its generation
-    timestamp and bal after it, one row per (timestamp, node), then fin.
-    Inequality rows are ddl per model commodity, then arccap per arc with
-    at least one flow variable, then bufcap per finite-buffer node and
-    timestamp. The matrix stacks the inequality rows, then the equality
-    rows. The index maps key every class's window into these columns.
+    B (timestamp, node, model commodity, over the commodity's window), then
+    one slack per model commodity in soft mode. Equality rows run per model
+    commodity: init at its generation timestamp and bal after it to its
+    window end, one row per (timestamp, node), then fin. Inequality rows
+    are ddl per model commodity whose window runs past its deadline, then
+    arccap per arc with at least one flow variable, then bufcap per
+    finite-buffer node and timestamp. The matrix stacks the inequality
+    rows, then the equality rows. The index maps key every class's window
+    into these columns, a buffer past the window end into the window-end
+    column.
     """
     grid = plan.grid
     f = grid.state_count
@@ -587,13 +616,7 @@ def _build_layout(
     gen = np.array([min(gen_idx[k] for k in ks) for ks in groups], dtype=np.int64)
     dst = np.array([pos[coms[ks[0]].dst] for ks in groups], dtype=np.int64)
 
-    # Deadline index per model commodity, f + 1 standing in for "no
-    # deadline"; the window of commodity m ends at its deadline only where
-    # the module docstring shows that loses nothing.
-    deadlines = [_deadline_index(plan, coms[ks[0]]) for ks in groups]
-    dl = np.array([f + 1 if d is None else d for d in deadlines], dtype=np.int64)
-    cut = not soft or all(math.isinf(spec.buffer_capacity) for spec in plan.nodes)
-    last = np.minimum(dl, f) if cut else np.full(n_grp, f, dtype=np.int64)
+    dl, last = _window_ends(plan, coms, groups, soft)
 
     # A model commodity sends on an arc in a state of its window, unless
     # the arc leaves its destination.
@@ -609,13 +632,16 @@ def _build_layout(
     x_cols[x_arc, x_com] = np.arange(n_x)
 
     # Buffer columns for every (timestamp, node, model commodity) with the
-    # timestamp at or after the commodity's generation; -1 elsewhere.
-    live = np.arange(f + 1)[:, None] >= gen[None, :]
-    b_live = np.broadcast_to(live[:, None, :], (f + 1, n_nodes, n_grp))
+    # timestamp in the commodity's window, gen..last; a later timestamp
+    # reads the window-end column, and an earlier one -1.
+    stamps = np.arange(f + 1)[:, None]
+    live = stamps >= gen[None, :]
+    b_live = np.broadcast_to((live & (stamps <= last))[:, None, :], (f + 1, n_nodes, n_grp))
     bt, bv, bk = np.nonzero(b_live)
     s_base = n_x + len(bt)
     b_cols = np.full(b_live.shape, -1, dtype=np.int64)
     b_cols[bt, bv, bk] = np.arange(n_x, s_base)
+    b_cols = np.take_along_axis(b_cols, np.minimum(stamps, last)[:, None, :], axis=0)
     n_vars = s_base + (n_grp if soft else 0)
 
     big_m = grid.horizon * max(1, len(arcs))
@@ -624,10 +650,10 @@ def _build_layout(
     objective[s_base:] = big_m
 
     # Equality rows: model commodity m owns rows from first[m] on, with the
-    # init (t = gen) and bal (t > gen) row of (t, node v) at
+    # init (t = gen) and bal (gen < t <= last) row of (t, node v) at
     # first[m] + (t - gen) * n_nodes + v, then its fin rows.
     n_fin = 1 if soft else n_nodes
-    per_com = (f + 1 - gen) * n_nodes + n_fin
+    per_com = (last + 1 - gen) * n_nodes + n_fin
     first = np.cumsum(per_com) - per_com
     ms = np.arange(n_grp)
     eq: list[tuple[np.ndarray, np.ndarray, float]] = []
@@ -638,7 +664,7 @@ def _build_layout(
     x_row = first[x_com] + (x_state - gen[x_com]) * n_nodes
     eq.append((x_row + arc_to[x_arc], np.arange(n_x), -1.0))
     eq.append((x_row + arc_from[x_arc], np.arange(n_x), 1.0))
-    fin_row = first + (f + 1 - gen) * n_nodes
+    fin_row = first + (last + 1 - gen) * n_nodes
     if soft:
         eq.append((fin_row, b_cols[f, dst, ms], 1.0))
         eq.append((fin_row, s_base + ms, 1.0))
@@ -655,15 +681,13 @@ def _build_layout(
     sup_grp, sup_t = group_of[sup_com], cls_gen[sup_com]
     bounded = np.flatnonzero(sup_t > gen[sup_grp])
 
-    # Inequality rows: for each model commodity with a deadline, one ddl
-    # row per timestamp from its deadline index to f (none for dl = f + 1);
-    # then arccap, then bufcap.
+    # Inequality rows: one ddl row, at the deadline index, for each model
+    # commodity whose window runs past it, since the module docstring
+    # shows every other ddl row implied; then arccap, then bufcap.
     ub: list[tuple[np.ndarray, np.ndarray, float]] = []
-    counts = f + 1 - dl
-    ddl_com = np.repeat(ms, counts)
+    ddl_com = np.flatnonzero(dl < last)
     ddl_row = np.arange(len(ddl_com))
-    ddl_t = ddl_row + np.repeat(dl - (np.cumsum(counts) - counts), counts)
-    ub.append((ddl_row, b_cols[ddl_t, dst[ddl_com], ddl_com], -1.0))
+    ub.append((ddl_row, b_cols[dl[ddl_com], dst[ddl_com], ddl_com], -1.0))
     if soft:
         ub.append((ddl_row, s_base + ddl_com, -1.0))
     ub_rhs = [np.zeros(len(ddl_row))]
@@ -1157,13 +1181,17 @@ def lp_metrics(
     )
     total_tx = solution.total_flow()
 
+    # The contacts into each class's destination, in plan order.
+    into: dict[int, list[Contact]] = {com.dst: [] for com in commodities}
+    for c in plan.contacts:
+        if c.to_node in into:
+            into[c.to_node].append(c)
+
     delay_sum = 0.0
     delay_weight = 0.0
     for k, com in enumerate(commodities):
         dl = _deadline_index(plan, com)
-        for c in plan.contacts:
-            if c.to_node != com.dst:
-                continue
+        for c in into[com.dst]:
             for q in windows[c.contact_id].states:
                 if dl is None or q <= dl:
                     flow = solution.x_flows.get((c.contact_id, q, k), 0.0)

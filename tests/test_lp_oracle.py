@@ -701,6 +701,54 @@ def test_soft_expired_class_still_moves_to_free_a_finite_buffer():
     assert solution.x_flows[(1, 2, 0)] == pytest.approx(5.0)
 
 
+# Class 0 (1 -> 3) must arrive by t = 20, the boundary of state 2, and the
+# 2 -> 3 contact carries only 3 units by then; class 1 appears at node 2
+# at t = 10 with no deadline. Node 2 has a finite buffer.
+_LATE_PLAN = (
+    "plan 4 10\nnode 1 inf\nnode 2 15\nnode 3 inf\n"
+    "contact 1 1 2 0 10 10\ncontact 2 2 3 10 20 3\ncontact 3 2 3 20 40 10\n"
+)
+
+
+def _late_classes(amount: float) -> list[Commodity]:
+    return [Commodity(3, 0.0, 20.0, ((1, amount),)), Commodity(3, 10.0, math.inf, ((2, 2.0),))]
+
+
+@pytest.mark.parametrize("soft, buffer, window_end", [
+    (False, "15", 2),  # hard: the deadline class's window ends at its deadline
+    (True, "inf", 2),  # soft, infinite buffers: the same
+    (True, "15", 4),  # soft, finite buffer: the window runs to the horizon
+])
+def test_buffers_end_at_the_window_end(soft, buffer, window_end):
+    plan = parse_contact_plan(_LATE_PLAN.replace("node 2 15", f"node 2 {buffer}"))
+    problem = build_lp(plan, _late_classes(3.0), soft=soft)
+    b_index, f = problem.b_index, plan.grid.state_count
+    assert problem.groups == ((0,), (1,))
+    # Distinct columns from generation to the window end; every later key
+    # reads the window-end column.
+    for v in (1, 2, 3):
+        assert len({b_index[(t, v, 0)] for t in range(window_end + 1)}) == window_end + 1
+        for t in range(window_end + 1, f + 1):
+            assert b_index[(t, v, 0)] == b_index[(window_end, v, 0)]
+        assert len({b_index[(t, v, 1)] for t in range(1, f + 1)}) == f
+    bal = [name for name in problem.eq_names if name.startswith("bal_") and name.endswith("_k0")]
+    assert bal == [f"bal_t{t}_n{v}_k0" for t in range(1, window_end + 1) for v in (1, 2, 3)]
+    # The ddl row at the deadline stays only where the window runs past it.
+    ddl = [name for name in problem.ub_names if name.startswith("ddl_")]
+    assert ddl == (["ddl_t2_k0"] if window_end > 2 else [])
+    assert len(problem.eq_names) == problem.a_eq.shape[0]
+    assert len(problem.ub_names) == problem.a_ub.shape[0]
+    # Node 2's storage past the window still holds the window-end buffer.
+    if buffer != "inf":
+        for t in range(f + 1):
+            row = problem.ub_names.index(f"bufcap_t{t}_n2")
+            assert problem.a_ub[row, b_index[(t, 2, 0)]] == 1.0
+    # Five units of class 0 meet the 3-unit contact: the soft model drops
+    # two, however late they could still reach node 3.
+    for amount in (3.0, 5.0):
+        _assert_matches_the_full_model(plan, _late_classes(amount), soft)
+
+
 def test_a_self_loop_contact_gives_one_matrix_entry_per_row_and_column():
     # A contact from node 1 to itself, in a plan built without validation,
     # puts +1 and -1 for its flow into the same balance row. They sum to one
@@ -790,44 +838,46 @@ def _buffered_three_node_plan():
 # (dst, deadline) became one model commodity: its ten no-deadline classes
 # merge into one, so 11 commodities instead of 20, with lower bounds on the
 # buffer columns of its later injections. The other models have one class
-# per group and did not move.
+# per group and did not move. All three models with commodities were
+# re-captured again when each window's buffers came to end at its window
+# end and the implied ddl rows went; their optima did not change.
 _EMPTY = "e3b0c44298fc1c14"
 PINNED_MODELS = {
     "study-seed1-load5-hard": (
         lambda: _study_inputs(1, 5, "burst"),
         False,
         {
-            "var_names": "4c75cf0891202823",
-            "eq_names": "5d4853f8ca5bcf35",
-            "ub_names": "6ef7f8407fe029ff",
-            "objective": "8e777349d3f39b79",
-            "b_eq": "887c3961f2f6f8ef",
-            "b_ub": "a77fe753e5314f7b",
-            "a_eq.indptr": "3afb6f1874748b5e",
-            "a_eq.indices": "386480ae00e59ea0",
-            "a_eq.data": "6ebfc9b49aa8b8de",
-            "a_ub.indptr": "7207a77f43bdc6ed",
-            "a_ub.indices": "83913b09a9be1182",
-            "a_ub.data": "adafef3dee5c9efa",
+            "var_names": "ec68469d8e09eab2",
+            "eq_names": "6b50716a82f2eed6",
+            "ub_names": "daa60def555ef0bc",
+            "objective": "22c69bbecc51699a",
+            "b_eq": "d3cd197de2c6ebae",
+            "b_ub": "1b1862d2215c137b",
+            "a_eq.indptr": "1f0c864561a8b9dc",
+            "a_eq.indices": "59e02ecca811ca37",
+            "a_eq.data": "4bb7653f92363170",
+            "a_ub.indptr": "605c1ac87e1ccd58",
+            "a_ub.indices": "2d0357763afc885b",
+            "a_ub.data": "d6b42572a063e997",
         },
     ),
     "perstate-seed2-load3-soft": (
         lambda: _study_inputs(2, 3, "per-state"),
         True,
         {
-            "var_names": "f517c2f718316a4b",
-            "eq_names": "2dde11e27eb2540b",
-            "ub_names": "998f5a3d3c9782dc",
-            "objective": "454fe8598e14a2b7",
-            "b_eq": "659325f04be4e480",
-            "b_ub": "840105d50052afe8",
-            "a_eq.indptr": "26b7ab4e775e8cd0",
-            "a_eq.indices": "0d63ca71293a573a",
-            "a_eq.data": "6226020f4092d343",
-            "a_ub.indptr": "346dd6715eaf54fa",
-            "a_ub.indices": "cfec34a42144cb18",
-            "a_ub.data": "6fcaf292c58008ae",
-            "col_lower": "fd03df913d29b7a3",
+            "var_names": "a8ef62c23889830b",
+            "eq_names": "15849fd978598992",
+            "ub_names": "35cc597f2f0778a3",
+            "objective": "45ee87ce29a4d783",
+            "b_eq": "63c2a23193ade020",
+            "b_ub": "868865d9dcbd36c1",
+            "a_eq.indptr": "1f5d4bdecf4e4acf",
+            "a_eq.indices": "8af3fa27cd6d5504",
+            "a_eq.data": "c201d42bfb0655c9",
+            "a_ub.indptr": "b7f9f4d47a393d39",
+            "a_ub.indices": "a7a0c058c22cc0b8",
+            "a_ub.data": "e42bcd73e509f86c",
+            "col_lower": "ce06e8df84f6bdae",
         },
     ),
     "three-node-finite-buffer": (
@@ -837,18 +887,18 @@ PINNED_MODELS = {
         ),
         False,
         {
-            "var_names": "6a3373ced618a3e0",
-            "eq_names": "62778c61d6d408a4",
-            "ub_names": "6be68f23ab464937",
-            "objective": "e998e2df2bf9eaa4",
-            "b_eq": "f2fca933d8c2f62d",
-            "b_ub": "3a99bc849a972b17",
-            "a_eq.indptr": "aae619d2e760b1fe",
-            "a_eq.indices": "2b680ccb7ecf72e8",
-            "a_eq.data": "9abd08ad11d8f6c0",
-            "a_ub.indptr": "0a46cbbc5820555d",
-            "a_ub.indices": "c35f8f3069395db7",
-            "a_ub.data": "053c918388fe3f4f",
+            "var_names": "20775f3d7286c9b4",
+            "eq_names": "33d00461c4be0a52",
+            "ub_names": "464d574a128a8be0",
+            "objective": "40f8873549bb7fb8",
+            "b_eq": "f131bae6c4a4f97e",
+            "b_ub": "6f15a3fb604c921e",
+            "a_eq.indptr": "230dfd062e82a19e",
+            "a_eq.indices": "c9e26f254ec16a18",
+            "a_eq.data": "054c9f9ce6d38436",
+            "a_ub.indptr": "653b3690efc6c3a1",
+            "a_ub.indices": "eb4fbfff3ba6c1ce",
+            "a_ub.data": "9ac8b44cf7a7a83a",
         },
     ),
     "three-node-no-commodities": (
