@@ -139,15 +139,25 @@ then restarts from the previous basis, which stays dual feasible
 (Huangfu & Hall, "Parallelizing the dual revised simplex method", Math.
 Prog. Comp. 2018). Status and objective do not depend on the start, but
 when several optima tie, a warm solve may return another one, so the
-hops, delay and energy read off it may differ from a cold solve's. The
-optimum is read out per index map in one array gather.
+hops, delay and energy read off it may differ from a cold solve's.
+
+Index maps and solutions are held as arrays in model order: each index
+map is a read-only view of an int key array (one (contact_id, state,
+class) or (timestamp, node, class) row per key, or one class per slack)
+and its column array, and `solve_lp` gathers the optimum into one value
+array per map, into which `_split` writes each merged commodity's
+classes. A dict is built only when a caller reads one key.
 
 `verify_solution` independently re-derives every constraint of the
 full, unwindowed, per-class model from the raw plan and commodity data,
 reading missing variables as zero, so a certified solution never depends
 on the solver, the windows, the merge or the split being right. It
-checks whole arrays, not the assembled matrix: it never reads the
-layout, the matrices or the column numbers.
+checks whole arrays, not the assembled matrix: it reads the solution's
+key and value arrays, and of the problem only its index maps' keys,
+never the layout's columns or matrices. A solution whose key array is
+the very array behind the problem's index map holds exactly the model's
+keys; any other solution, such as one loaded from JSON or changed in
+place, is compared key by key.
 
 The optional soft mode adds one nonnegative drop slack per commodity with
 a large penalty (horizon times arc count), turning infeasible instances
@@ -162,17 +172,17 @@ import io
 import json
 import math
 from bisect import bisect_left
+from collections.abc import ItemsView, Mapping, MutableMapping, ValuesView
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 from scipy.optimize._highspy import _core as highs
 from scipy.sparse import csc_matrix, csr_matrix
 
-from .contact_plan import Contact, ContactPlan
+from .contact_plan import ContactPlan
 from .simulator import Demand, Metrics
 
 __all__ = [
@@ -246,6 +256,87 @@ class Commodity:
         return self.t_gen + self.ttl
 
 
+class _Keyed(MutableMapping):
+    """A dict over a key array and a value array, in model order.
+
+    The keys are the rows of an (n, 3) int64 array, as tuples, or the
+    entries of an (n,) one. Iteration, len, values() and items() read the
+    arrays. The first per-key read (`[]`, `in`, `get`) builds a dict once,
+    and the arrays stay valid. A set or delete goes to that dict and drops
+    the arrays, so every later reader uses the dict, which keeps a dict's
+    order. A read-only map raises TypeError on a set or delete.
+    """
+
+    __slots__ = ("_keys", "_values", "_dict", "_writable")
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray, writable: bool = True):
+        self._keys, self._values = keys, values
+        self._dict: dict | None = None
+        self._writable = writable
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(keys, values), or None once a set or delete dropped them."""
+        return None if self._keys is None else (self._keys, self._values)
+
+    def _key_list(self) -> list:
+        keys = self._keys.tolist()
+        return list(map(tuple, keys)) if self._keys.ndim == 2 else keys
+
+    def _map(self) -> dict:
+        if self._dict is None:
+            self._dict = dict(zip(self._key_list(), self._values.tolist()))
+        return self._dict
+
+    def _writes(self) -> dict:
+        if not self._writable:
+            raise TypeError("an index map is read-only")
+        values = self._map()
+        self._keys = self._values = None
+        return values
+
+    def __getitem__(self, key):
+        return self._map()[key]
+
+    def __setitem__(self, key, value):
+        self._writes()[key] = value
+
+    def __delitem__(self, key):
+        del self._writes()[key]
+
+    def __len__(self) -> int:
+        return len(self._dict) if self._keys is None else len(self._keys)
+
+    def __iter__(self):
+        return iter(self._key_list() if self._dict is None else self._dict)
+
+    def values(self) -> ValuesView:
+        return _KeyedValues(self)
+
+    def items(self) -> ItemsView:
+        return _KeyedItems(self)
+
+    def __repr__(self) -> str:
+        return repr(self._map())
+
+
+class _KeyedValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        keyed = self._mapping
+        return iter(keyed._dict.values() if keyed._keys is None else keyed._values.tolist())
+
+
+class _KeyedItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        keyed = self._mapping
+        if keyed._keys is None:
+            return iter(keyed._dict.items())
+        return zip(keyed._key_list(), keyed._values.tolist())
+
+
 @dataclass(eq=False)
 class LpProblem:
     """Assembled model: variable index maps, sparse rows, and row tags.
@@ -263,6 +354,11 @@ class LpProblem:
     Buffer keys past the group's window end share its window-end column
     (see the module docstring). With one class per group, model
     commodities are the classes.
+
+    Each index map is array-backed: an int key array and a column array,
+    in model order. It becomes a dict on its first key read, and it is
+    read-only. Any mapping keyed the same way may stand in for it (the
+    tests widen the maps with `dataclasses.replace`).
 
     The index maps, objective and matrices are shared, read-only, by every
     problem built on the same plan with the same weights, soft flag and
@@ -342,13 +438,20 @@ class LpProblem:
 
 @dataclass
 class LpSolution:
-    """Solver output: variable values keyed like the problem's index maps."""
+    """Solver output: variable values keyed like the problem's index maps.
+
+    `solve_lp` fills the three maps array-backed: the layout's key arrays
+    and fresh value arrays, in model order. A map becomes a dict on its
+    first key read, and a set or delete drops its arrays, so every reader
+    sees the change. Any other mutable mapping, such as the dicts
+    `solution_from_json` builds, works the same.
+    """
 
     status: str  # "optimal" | "infeasible"
     objective: float | None
-    x_flows: dict[tuple[int, int, int], float] = field(default_factory=dict)
-    buffers: dict[tuple[int, int, int], float] = field(default_factory=dict)
-    slacks: dict[int, float] = field(default_factory=dict)
+    x_flows: MutableMapping[tuple[int, int, int], float] = field(default_factory=dict)
+    buffers: MutableMapping[tuple[int, int, int], float] = field(default_factory=dict)
+    slacks: MutableMapping[int, float] = field(default_factory=dict)
 
     def total_flow(self) -> float:
         return sum(self.x_flows.values())
@@ -447,9 +550,9 @@ class _Merge:
     dst: int
     # state -> (column, from, to) of each flow column, in arc order
     arcs: Mapping[int, tuple[tuple[int, int, int], ...]]
-    x_keys: tuple[tuple[int, int, int], ...]  # the classes' flow keys
+    x_pos: np.ndarray  # the classes' flow keys, as positions in the layout's x_keys
     x_cells: np.ndarray  # column * len(classes) + class position of each flow key
-    b_keys: tuple[tuple[int, int, int], ...]  # the classes' buffer keys
+    b_pos: np.ndarray  # the classes' buffer keys, as positions in the layout's b_keys
     b_cells: np.ndarray  # ((t - gens[0]) * nodes + node) * len(classes) + class position
 
 
@@ -467,16 +570,18 @@ class _Layout:
 
     groups: tuple[tuple[int, ...], ...]
     group_of: np.ndarray  # the model commodity of each class
-    x_index: Mapping[tuple[int, int, int], int]
-    b_index: Mapping[tuple[int, int, int], int]
-    slack_index: Mapping[int, int]
-    # Each index map's keys, in map order, and their columns as one array.
-    x_keys: tuple[tuple[int, int, int], ...]
+    # Each index map's keys, in model order, and their columns: flows by
+    # (contact_id, state, class) rows, buffers by (timestamp, node, class)
+    # rows, slacks by class. The read-only index maps are views of them.
+    x_keys: np.ndarray
     x_cols: np.ndarray
-    b_keys: tuple[tuple[int, int, int], ...]
+    b_keys: np.ndarray
     b_cols: np.ndarray
-    s_keys: tuple[int, ...]
+    s_keys: np.ndarray
     s_cols: np.ndarray
+    x_index: _Keyed
+    b_index: _Keyed
+    slack_index: _Keyed
     objective: np.ndarray
     n_ub: int
     n_eq: int
@@ -711,10 +816,10 @@ def _build_layout(
     # Each class's variables: its own window inside its group's columns.
     cls_sends = sends[:, group_of] & (arc_state[:, None] > cls_gen[None, :])
     xa, xk = np.nonzero(cls_sends)
-    x_keys = list(zip(arc_cid[xa].tolist(), arc_state[xa].tolist(), xk.tolist()))
+    x_keys = np.stack((arc_cid[xa], arc_state[xa], xk), axis=1)
     cls_live = np.arange(f + 1)[:, None] >= cls_gen[None, :]
     ct, cv, ck = np.nonzero(np.broadcast_to(cls_live[:, None, :], (f + 1, n_nodes, n_coms)))
-    b_keys = list(zip(ct.tolist(), np.array(node_ids)[cv].tolist(), ck.tolist()))
+    b_keys = np.stack((ct, np.array(node_ids, dtype=np.int64)[cv], ck), axis=1)
     merges = []
     for m, ks in enumerate(groups):
         if len(ks) == 1:
@@ -737,29 +842,29 @@ def _build_layout(
             sources=tuple(tuple(pos[v] for v, _ in coms[k].supply) for k in classes),
             dst=int(dst[m]),
             arcs=MappingProxyType({q: tuple(entries) for q, entries in by_state.items()}),
-            x_keys=tuple([x_keys[i] for i in xs.tolist()]),
+            x_pos=xs,
             x_cells=x_cols[xa[xs], m] * n + rank[xk[xs]],
-            b_keys=tuple([b_keys[i] for i in bs.tolist()]),
+            b_pos=bs,
             b_cells=((ct[bs] - gen[m]) * n_nodes + cv[bs]) * n + rank[ck[bs]],
         ))
 
     x_at = x_cols[xa, group_of[xk]]
     b_at = b_cols[ct, cv, group_of[ck]]
-    s_keys = tuple(range(n_coms)) if soft else ()
+    s_keys = np.arange(n_coms if soft else 0)
     s_at = s_base + group_of if soft else np.zeros(0, dtype=np.int64)
     start, index, value = _columns(ub + [(r + n_ub, c, v) for r, c, v in eq], n_ub + n_eq, n_vars)
     layout = _Layout(
         groups=groups,
         group_of=group_of,
-        x_index=MappingProxyType(dict(zip(x_keys, x_at.tolist()))),
-        b_index=MappingProxyType(dict(zip(b_keys, b_at.tolist()))),
-        slack_index=MappingProxyType(dict(zip(s_keys, s_at.tolist()))),
-        x_keys=tuple(x_keys),
+        x_keys=x_keys,
         x_cols=x_at,
-        b_keys=tuple(b_keys),
+        b_keys=b_keys,
         b_cols=b_at,
         s_keys=s_keys,
         s_cols=s_at,
+        x_index=_Keyed(x_keys, x_at, writable=False),
+        b_index=_Keyed(b_keys, b_at, writable=False),
+        slack_index=_Keyed(s_keys, s_at, writable=False),
         objective=objective,
         n_ub=n_ub,
         n_eq=n_eq,
@@ -777,11 +882,13 @@ def _build_layout(
         b_ub=np.concatenate(ub_rhs),
         merges=tuple(merges),
     )
-    for array in (layout.group_of, layout.x_cols, layout.b_cols, layout.s_cols, layout.objective,
-                  layout.start, layout.index, layout.value, layout.row_lower, layout.col_upper,
-                  layout.integrality, layout.supply_rows, layout.bounded, layout.bound_cols,
-                  layout.fin_rows, layout.ddl_groups, layout.b_ub,
-                  *(a for merge in merges for a in (merge.x_cells, merge.b_cells))):
+    for array in (layout.group_of, layout.x_keys, layout.x_cols, layout.b_keys, layout.b_cols,
+                  layout.s_keys, layout.s_cols, layout.objective, layout.start, layout.index,
+                  layout.value, layout.row_lower, layout.col_upper, layout.integrality,
+                  layout.supply_rows, layout.bounded, layout.bound_cols, layout.fin_rows,
+                  layout.ddl_groups, layout.b_ub,
+                  *(a for merge in merges
+                    for a in (merge.x_pos, merge.x_cells, merge.b_pos, merge.b_cells))):
         array.flags.writeable = False
     return layout
 
@@ -904,21 +1011,31 @@ def solve_lp(problem: LpProblem, session: LpSession | None = None) -> LpSolution
             f"solver reported an optimum outside the bounds by more than {_ACCEPT_TOL:.2e}"
         )
     layout = problem._layout
-    solution = LpSolution(
+    flows, buffers, slacks = values[layout.x_cols], values[layout.b_cols], values[layout.s_cols]
+    for merge in layout.merges:
+        _split(problem, merge, x, flows, buffers, slacks)
+    for array in (flows, buffers, slacks):
+        array.flags.writeable = False
+    return LpSolution(
         status="optimal",
         objective=solver.getInfo().objective_function_value,
-        x_flows=dict(zip(layout.x_keys, values[layout.x_cols].tolist())),
-        buffers=dict(zip(layout.b_keys, values[layout.b_cols].tolist())),
-        slacks=dict(zip(layout.s_keys, values[layout.s_cols].tolist())),
+        x_flows=_Keyed(layout.x_keys, flows),
+        buffers=_Keyed(layout.b_keys, buffers),
+        slacks=_Keyed(layout.s_keys, slacks),
     )
-    for merge in layout.merges:
-        _split(problem, merge, x, solution)
-    return solution
 
 
-def _split(problem: LpProblem, merge: _Merge, x: list[float], solution: LpSolution) -> None:
-    """Overwrite the merged commodity's values in `solution` with its
-    per-class flows, buffers and slacks, split by generation FIFO.
+def _split(
+    problem: LpProblem,
+    merge: _Merge,
+    x: list[float],
+    x_flows: np.ndarray,
+    buffers: np.ndarray,
+    slacks: np.ndarray,
+) -> None:
+    """Overwrite the merged commodity's values, at its positions in the
+    layout's key arrays, with its per-class flows, buffers and slacks,
+    split by generation FIFO.
 
     State by state from the group's generation, each node's stock is kept
     per class. A node splits its outflow in a state once all its inflows
@@ -970,11 +1087,41 @@ def _split(problem: LpProblem, merge: _Merge, x: list[float], solution: LpSoluti
         for c, v, amount in inject.get(t, ()):
             stock[v][c] += amount
         held.append([list(at_node) for at_node in stock])
-    solution.x_flows.update(zip(merge.x_keys, flows[merge.x_cells].tolist()))
-    solution.buffers.update(zip(merge.b_keys, np.ravel(held)[merge.b_cells].tolist()))
+    x_flows[merge.x_pos] = flows[merge.x_cells]
+    buffers[merge.b_pos] = np.ravel(held)[merge.b_cells]
     if problem.soft:
+        # A slack's position in the layout's s_keys is its class.
         for c, k in enumerate(merge.classes):
-            solution.slacks[k] = coms[k].amount - stock[merge.dst][c]
+            slacks[k] = coms[k].amount - stock[merge.dst][c]
+
+
+def _arrays(values: Mapping) -> tuple[np.ndarray, np.ndarray] | None:
+    """The arrays behind an array-backed map no one has changed, else None."""
+    return values.arrays() if isinstance(values, _Keyed) else None
+
+
+def _key_value_arrays(values: Mapping, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, values) of a solution map, in its order: an (n, width) key
+    array for tuple keys, or an (n,) one for width 1. They are the arrays
+    behind an unchanged solver map, or else read from the mapping."""
+    arrays = _arrays(values)
+    if arrays is not None:
+        return arrays
+    n = len(values)
+    keys = np.fromiter(chain.from_iterable(values) if width > 1 else values, dtype=np.int64,
+                       count=width * n)
+    return (keys.reshape(n, width) if width > 1 else keys,
+            np.fromiter(values.values(), dtype=np.float64, count=n))
+
+
+def _keys_within(values: Mapping, index: Mapping) -> bool:
+    """Whether every key of a solution map is a key of the index map. A
+    solver map whose key array is the index map's own holds exactly its
+    keys; any other map is compared key by key."""
+    mine, theirs = _arrays(values), _arrays(index)
+    if mine is not None and theirs is not None and mine[0] is theirs[0]:
+        return True
+    return values.keys() <= index.keys()
 
 
 def verify_solution(
@@ -1010,9 +1157,9 @@ def verify_solution(
         raise ValueError("only optimal solutions can be verified")
     X, B, S = solution.x_flows, solution.buffers, solution.slacks
     if not (
-        X.keys() <= problem.x_index.keys()
-        and B.keys() <= problem.b_index.keys()
-        and S.keys() <= problem.slack_index.keys()
+        _keys_within(X, problem.x_index)
+        and _keys_within(B, problem.b_index)
+        and _keys_within(S, problem.slack_index)
     ):
         unknown_x = sum(key not in problem.x_index for key in X)
         unknown_b = sum(key not in problem.b_index for key in B)
@@ -1021,6 +1168,9 @@ def verify_solution(
             f"solution shape mismatch: {unknown_x} flow, {unknown_b} buffer, "
             f"{unknown_s} slack keys not in the problem"
         )
+
+    (x_keys, x_val), (b_keys, b_val) = _key_value_arrays(X, 3), _key_value_arrays(B, 3)
+    s_keys, s_val = _key_value_arrays(S, 1)
 
     plan = problem.plan
     f = plan.grid.state_count
@@ -1049,10 +1199,7 @@ def verify_solution(
 
     # Each flow's arc, found by (state, contact rank) in the arcs' own
     # (state, contact id) order.
-    x_cid, x_state, x_com = np.fromiter(
-        chain.from_iterable(X), dtype=np.int64, count=3 * len(X)
-    ).reshape(-1, 3).T
-    x_val = np.fromiter(X.values(), dtype=np.float64, count=len(X))
+    x_cid, x_state, x_com = x_keys.T
     cids = np.unique(arc_cid)
     rank = np.minimum(np.searchsorted(cids, x_cid), max(len(cids) - 1, 0))
     arc_key = arc_state * len(cids) + np.searchsorted(cids, arc_cid)
@@ -1063,8 +1210,6 @@ def verify_solution(
         cid, q, _ = list(X)[np.flatnonzero(~found)[0]]
         raise ValueError(f"solution shape mismatch: contact {cid} has no arc in state {q}")
 
-    b_val = np.fromiter(B.values(), dtype=np.float64, count=len(B))
-    s_val = np.fromiter(S.values(), dtype=np.float64, count=len(S))
     if not (np.isfinite(x_val).all() and np.isfinite(b_val).all() and np.isfinite(s_val).all()):
         return [
             Violation("finite", where(key), math.inf)
@@ -1073,13 +1218,11 @@ def verify_solution(
             if not math.isfinite(value)
         ]
 
-    b_t, b_node, b_com = np.fromiter(
-        chain.from_iterable(B), dtype=np.int64, count=3 * len(B)
-    ).reshape(-1, 3).T
+    b_t, b_node, b_com = b_keys.T
     buffers = np.zeros((n_coms, f + 1, n_nodes))
     buffers[b_com, b_t, np.searchsorted(node_arr, b_node)] = b_val
     slacks = np.zeros(n_coms)
-    slacks[np.fromiter(S.keys(), dtype=np.int64, count=len(S))] = s_val
+    slacks[s_keys] = s_val
 
     out: list[Violation] = []
     loud = np.abs(x_val) > tol
@@ -1089,7 +1232,7 @@ def verify_solution(
     if (negative | early | reemit).any():
         keys = list(X)
         for i in np.flatnonzero(negative | early | reemit).tolist():
-            key, val = keys[i], X[keys[i]]
+            key, val = keys[i], float(x_val[i])
             cid, q, k = key
             if negative[i]:
                 out.append(Violation("nonnegative", str(key), -val))
@@ -1097,12 +1240,12 @@ def verify_solution(
                 out.append(Violation("no-early-send", f"contact {cid} state {q} k{k}", abs(val)))
             if reemit[i]:
                 out.append(Violation("dest-no-reemit", f"contact {cid} state {q} k{k}", abs(val)))
-    for values, where in ((B, str), (S, "slack k{}".format)):
-        negative = np.fromiter(values.values(), dtype=np.float64, count=len(values)) < -tol
+    for values, vals, where in ((B, b_val, str), (S, s_val, "slack k{}".format)):
+        negative = vals < -tol
         if negative.any():
             keys = list(values)
             for i in np.flatnonzero(negative).tolist():
-                out.append(Violation("nonnegative", where(keys[i]), -values[keys[i]]))
+                out.append(Violation("nonnegative", where(keys[i]), -float(vals[i])))
 
     # Net inflow per (class, state, node): +flow at the arc's head, -flow at
     # its tail, added flow by flow in the solution's order.
@@ -1157,6 +1300,43 @@ def verify_solution(
     return out
 
 
+def _on_time_arrivals(
+    plan: ContactPlan, commodities: list[Commodity], keys: np.ndarray
+) -> np.ndarray:
+    """The rows of an (n, 3) flow key array that enter their class's
+    destination on time, in a state their contact covers, ordered by
+    (class, the contact's plan order, state).
+
+    Those are the terms of a sum over classes, then the contacts into the
+    class's destination in plan order, then the states each covers up to
+    the deadline. Added in this order, the terms give that sum bit for
+    bit: a zero or missing flow adds nothing.
+    """
+    dsts = {com.dst for com in commodities}
+    into = [c for c in plan.contacts if c.to_node in dsts]
+    if not into:
+        return np.zeros(0, dtype=np.int64)
+    ids = np.array([c.contact_id for c in into], dtype=np.int64)
+    order = np.argsort(ids)
+    x_cid, x_state, x_com = keys.T
+    rank = order[np.minimum(np.searchsorted(ids, x_cid, sorter=order), len(into) - 1)]
+    windows = [plan.windows[c.contact_id] for c in into]
+    to = np.array([c.to_node for c in into], dtype=np.int64)[rank]
+    first = np.array([w.first for w in windows], dtype=np.int64)[rank]
+    last = np.array([w.last for w in windows], dtype=np.int64)[rank]
+    f = plan.grid.state_count
+    deadlines = [_deadline_index(plan, com) for com in commodities]
+    dl = np.array([f if d is None else d for d in deadlines], dtype=np.int64)
+    dst = np.array([com.dst for com in commodities], dtype=np.int64)
+    k = np.clip(x_com, 0, len(commodities) - 1)
+    counted = (
+        (ids[rank] == x_cid) & (k == x_com) & (to == dst[k])
+        & (first <= x_state) & (x_state <= np.minimum(last, dl[k]))
+    )
+    chosen = np.flatnonzero(counted)
+    return chosen[np.lexsort((x_state[chosen], rank[chosen], k[chosen]))]
+
+
 def lp_metrics(
     plan: ContactPlan, commodities: list[Commodity], solution: LpSolution
 ) -> Metrics:
@@ -1170,33 +1350,24 @@ def lp_metrics(
     """
     if solution.status != "optimal":
         raise ValueError("lp_metrics requires an optimal solution")
-    total_amount = sum(c.amount for c in commodities)
+    amounts = [c.amount for c in commodities]
+    total_amount = sum(amounts)
     if total_amount == 0:
         return Metrics(None, None, None, None)
 
     grid = plan.grid
-    windows = plan.windows
-    delivered = sum(
-        com.amount - solution.slacks.get(k, 0.0) for k, com in enumerate(commodities)
-    )
+    delivered = sum(amount - solution.slacks.get(k, 0.0) for k, amount in enumerate(amounts))
     total_tx = solution.total_flow()
 
-    # The contacts into each class's destination, in plan order.
-    into: dict[int, list[Contact]] = {com.dst: [] for com in commodities}
-    for c in plan.contacts:
-        if c.to_node in into:
-            into[c.to_node].append(c)
-
+    keys, flows = _key_value_arrays(solution.x_flows, 3)
+    chosen = _on_time_arrivals(plan, commodities, keys)
+    t_gen = [com.t_gen for com in commodities]
     delay_sum = 0.0
     delay_weight = 0.0
-    for k, com in enumerate(commodities):
-        dl = _deadline_index(plan, com)
-        for c in into[com.dst]:
-            for q in windows[c.contact_id].states:
-                if dl is None or q <= dl:
-                    flow = solution.x_flows.get((c.contact_id, q, k), 0.0)
-                    delay_sum += (grid.state_end(q) - com.t_gen) * flow
-                    delay_weight += flow
+    for q, k, flow in zip(keys[chosen, 1].tolist(), keys[chosen, 2].tolist(),
+                          flows[chosen].tolist()):
+        delay_sum += (grid.state_end(q) - t_gen[k]) * flow
+        delay_weight += flow
 
     return Metrics(
         delivery_ratio=delivered / total_amount,

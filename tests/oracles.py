@@ -26,6 +26,11 @@ policy's minimum among them, then book it.
 checked arrays: one pass over the flows in dictionary order, then every row
 of the full model one (class, timestamp, node) at a time, reading missing
 variables as zero.
+
+`reference_lp_metrics` is `lp_metrics` as it was written before it read
+the flow key arrays: per class, per contact into its destination in plan
+order, per state that contact covers up to the deadline, one dictionary
+lookup each, a missing flow read as zero.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from cgrlab.contact_graph import Route, RouteTable, build_route_tables
 from cgrlab.contact_plan import Contact, ContactPlan
 from cgrlab.forwarding import CapacityLedger, Packet, Policy, forward_or_drop
 from cgrlab.lp_oracle import Commodity, LpProblem, LpSolution, Violation
-from cgrlab.simulator import Demand, PacketRecord, SimResult
+from cgrlab.simulator import Demand, Metrics, PacketRecord, SimResult
 
 RouteKey = tuple[float, int, tuple[int, ...]]
 
@@ -296,6 +301,49 @@ def reference_verify_solution(
                 )
 
     return out
+
+
+def reference_lp_metrics(
+    plan: ContactPlan, commodities: list[Commodity], solution: LpSolution
+) -> Metrics:
+    """`lp_metrics` written as one loop of dictionary lookups."""
+    if solution.status != "optimal":
+        raise ValueError("lp_metrics requires an optimal solution")
+    total_amount = sum(c.amount for c in commodities)
+    if total_amount == 0:
+        return Metrics(None, None, None, None)
+
+    grid = plan.grid
+    windows = plan.windows
+    delivered = sum(
+        com.amount - solution.slacks.get(k, 0.0) for k, com in enumerate(commodities)
+    )
+    total_tx = solution.total_flow()
+
+    # The contacts into each class's destination, in plan order.
+    into: dict[int, list[Contact]] = {com.dst: [] for com in commodities}
+    for c in plan.contacts:
+        if c.to_node in into:
+            into[c.to_node].append(c)
+
+    delay_sum = 0.0
+    delay_weight = 0.0
+    for k, com in enumerate(commodities):
+        dl = None if math.isinf(com.ttl) else grid.floor_boundary_index(com.deadline)
+        for c in into[com.dst]:
+            for q in windows[c.contact_id].states:
+                if dl is None or q <= dl:
+                    flow = solution.x_flows.get((c.contact_id, q, k), 0.0)
+                    delay_sum += (grid.state_end(q) - com.t_gen) * flow
+                    delay_weight += flow
+
+    eps = 1e-9
+    return Metrics(
+        delivery_ratio=delivered / total_amount,
+        mean_hops=total_tx / delivered if delivered > eps else None,
+        mean_delay=delay_sum / delay_weight if delay_weight > eps else None,
+        energy_efficiency=delivered / total_tx if total_tx > eps else None,
+    )
 
 
 def filter_routes(

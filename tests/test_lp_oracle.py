@@ -38,7 +38,7 @@ from cgrlab.lp_oracle import (
 from cgrlab.simulator import Demand
 
 from conftest import THREE_NODE_PLAN, random_small_plan
-from oracles import reference_verify_solution, solve_full_lp
+from oracles import reference_lp_metrics, reference_verify_solution, solve_full_lp
 
 TOL = 1e-6
 
@@ -1080,3 +1080,125 @@ def test_a_layout_is_reused_only_for_the_same_weights_soft_flag_and_classes(chan
     assert _model_digests(build_lp(plan, list(commodities), exponent, soft)) == _model_digests(
         build_lp(fresh_plan, list(commodities), exponent, soft)
     )
+
+
+# Array-backed maps: `solve_lp` fills the solution maps from arrays, and the
+# index maps are views of the layout's key and column arrays.
+
+
+@pytest.mark.parametrize("injection, soft", [("burst", False), ("per-state", True)])
+def test_solver_maps_read_and_compare_like_dicts(injection, soft):
+    problem = build_lp(*_study_inputs(2, 1, injection), soft=soft)
+    solution = solve_lp(problem)
+    assert solution.status == "optimal"
+    copied = solution_from_json(solution_to_json(solution))
+    assert solve_lp(problem) == copied and copied == solve_lp(problem)
+
+    read = solve_lp(problem)
+    for values in (read.x_flows, read.buffers, read.slacks):
+        if values:
+            key = next(iter(values))
+            assert key in values and values[key] == values.get(key) == dict(values.items())[key]
+    assert verify_solution(problem, read, TOL) == []
+    assert read == copied
+    for name in ("x_flows", "buffers", "slacks"):
+        got, want = getattr(read, name), getattr(solution, name)
+        assert list(got.items()) == list(want.items()) == list(zip(got, got.values()))
+        assert len(got) == len(want) and dict(got) == getattr(copied, name)
+
+
+@pytest.mark.parametrize("kind", ["x", "b", "s", "del"])
+def test_a_change_to_a_solver_solution_reaches_every_reader(fig1_demands, kind):
+    plan = _buffered_three_node_plan()
+    commodities = demands_to_commodities(fig1_demands)
+    problem = build_lp(plan, commodities, soft=kind == "s")
+    solution = solve_lp(problem)
+    metrics = lp_metrics(plan, commodities, solution)
+    total = solution.total_flow()
+    assert verify_solution(problem, solution, TOL) == []
+    if kind == "x":
+        solution.x_flows[(2, 2, 1)] += 1.0
+    elif kind == "b":
+        solution.buffers[(1, 2, 1)] += 1.0
+    elif kind == "s":
+        solution.slacks[1] += 1.0
+    else:
+        del solution.x_flows[(2, 2, 1)]
+    assert verify_solution(problem, solution, TOL)
+    assert verify_solution(problem, solution, TOL) == reference_verify_solution(
+        problem, solution, TOL
+    )
+    assert lp_metrics(plan, commodities, solution) == reference_lp_metrics(
+        plan, commodities, solution
+    )
+    doc = json.loads(solution_to_json(solution))
+    if kind == "x":
+        assert solution.total_flow() == pytest.approx(total + 1.0)
+        assert lp_metrics(plan, commodities, solution).mean_hops > metrics.mean_hops
+        assert [2, 2, 1, solution.x_flows[(2, 2, 1)]] in doc["x"]
+    elif kind == "b":
+        assert [1, 2, 1, solution.buffers[(1, 2, 1)]] in doc["b"]
+    elif kind == "s":
+        assert lp_metrics(plan, commodities, solution).delivery_ratio < metrics.delivery_ratio
+        assert [1, solution.slacks[1]] in doc["slack"]
+    else:
+        assert solution.total_flow() < total
+        assert all(entry[:3] != [2, 2, 1] for entry in doc["x"])
+
+
+def test_index_maps_are_shared_by_a_layout_and_read_only():
+    plan, _ = _study_inputs(3, 1, "per-state")
+    first, second = (
+        build_lp(plan, _study_inputs(3, load, "per-state")[1], soft=True) for load in (1, 4)
+    )
+    for name in ("x_index", "b_index", "slack_index"):
+        index = getattr(first, name)
+        assert getattr(second, name) is index
+        key = next(iter(index))
+        column = index[key]
+        with pytest.raises(TypeError):
+            index[key] = column + 1
+        with pytest.raises(TypeError):
+            del index[key]
+        assert index[key] == column and len(index) == len(getattr(second, name))
+    assert verify_solution(second, solve_lp(second), TOL) == []
+
+
+@given(seed=st.integers(0, 2**32 - 1), per_state=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_lp_metrics_matches_the_reference_loop_exactly(seed, per_state):
+    # Random small plans with burst traffic on the hard model or per-state
+    # traffic on the soft one. Every class goes to one destination, with no
+    # deadline or one ttl, so the no-deadline classes of a per-state plan
+    # merge; sometimes a class to another node joins. Each metric must
+    # equal the loop's bit for bit on the solver's solution, on its JSON
+    # copy, and on a solver solution changed in place after a key read.
+    rng = random.Random(seed)
+    plan = random_small_plan(rng, max_contacts=24)
+    grid = plan.grid
+    dst = rng.choice(sorted(plan.node_ids))
+    ttl = rng.choice([10.0, 20.0, 30.0])
+    states = range(1, grid.state_count + 1) if per_state else [1]
+    sources = rng.sample(sorted(plan.node_ids - {dst}), rng.randint(1, len(plan.node_ids) - 1))
+    demands = [
+        Demand(src, dst, grid.state_start(q), rng.choice([math.inf, ttl]), rng.randint(1, 3))
+        for q in states
+        for src in sources
+    ]
+    if rng.random() < 0.5:
+        src, other = rng.sample(sorted(plan.node_ids), 2)
+        demands.append(Demand(src, other, 0.0, rng.choice([math.inf, 20.0]), 2))
+    commodities = demands_to_commodities(demands)
+    problem = build_lp(plan, commodities, soft=per_state)
+    solution = solve_lp(problem)
+    event(f"{'per-state soft' if per_state else 'burst hard'}: {solution.status}")
+    if solution.status != "optimal":
+        return
+    event(f"merged group: {any(len(group) > 1 for group in problem.groups)}")
+    changed = solve_lp(problem)
+    if changed.x_flows:
+        key = rng.choice(list(changed.x_flows))
+        changed.x_flows[key] = changed.x_flows[key] + rng.choice([0.5, -0.25, 2.0])
+    for candidate in (solution, solution_from_json(solution_to_json(solution)), changed):
+        got = lp_metrics(plan, commodities, candidate)
+        assert repr(got) == repr(reference_lp_metrics(plan, commodities, candidate))
