@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .contact_plan import ContactPlan, StateGrid
 
@@ -60,7 +61,8 @@ class Route:
     transmission state; expiration is the earliest contact end (the route
     dies when any of its contacts ends); max_volume is the smallest
     whole-window volume along the chain. states holds the state each
-    contact transmits in; it takes no part in comparisons.
+    contact transmits in; it takes no part in comparisons. sort_key and
+    hops_key are the DELTIME and HOPS orders, as key functions.
     """
 
     contacts: tuple[int, ...]
@@ -73,11 +75,8 @@ class Route:
     max_volume: int
     states: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
-    def sort_key(self) -> tuple[float, int, tuple[int, ...]]:
-        return (self.delivery_time, self.hops, self.contacts)
-
-    def hops_key(self) -> tuple[int, float, tuple[int, ...]]:
-        return (self.hops, self.delivery_time, self.contacts)
+    sort_key = attrgetter("delivery_time", "hops", "contacts")
+    hops_key = attrgetter("hops", "delivery_time", "contacts")
 
 
 @dataclass
@@ -365,7 +364,9 @@ def k_best_routes(
     index = _index(plan)
     accepted: list[Route] = [first]
     deviation: dict[tuple[int, ...], int] = {first.contacts: 0}
-    candidates: list[tuple[tuple[float, int, tuple[int, ...]], int, Route]] = []
+    # Candidates as (sort key, spur position, contact ids, states); a Route
+    # is built only for those accepted.
+    candidates: list[tuple] = []
     seen: set[tuple[int, ...]] = {first.contacts}
 
     while len(accepted) < k_routes:
@@ -390,13 +391,14 @@ def k_best_routes(
             if total in seen:
                 continue
             seen.add(total)
-            route = _route(plan, total, parent.states[:j] + spur.states)
-            heapq.heappush(candidates, (route.sort_key(), j, route))
+            states = parent.states[:j] + spur.states
+            key = (grid.state_end(states[-1]), len(total), total)
+            heapq.heappush(candidates, (key, j, total, states))
         if not candidates:
             break
-        _, j, route = heapq.heappop(candidates)
-        accepted.append(route)
-        deviation[route.contacts] = j
+        _, j, total, states = heapq.heappop(candidates)
+        accepted.append(_route(plan, total, states))
+        deviation[total] = j
 
     return sorted(accepted, key=Route.sort_key)
 

@@ -1,30 +1,35 @@
-"""Deterministic state-stepped store-carry-and-forward engine.
+"""Deterministic state-stepped store-carry-and-forward engine over cohorts.
+
+A cohort is a run of packets with consecutive ids from one demand that
+share a path so far: one forwarding decision and one queue entry stand
+for all of them. Each demand is injected as one cohort; decisions split
+cohorts by route, and contacts send a prefix of their head cohort. FIFO
+only ever splits off a prefix, so each packet meets the fate it would
+meet if stepped alone.
 
 The run advances one state at a time. Within a state, in this order:
 
-1. packets still queued on contacts whose last covered state has passed
+1. cohorts still queued on contacts whose last covered state has passed
    are returned to their node's store for a fresh decision;
 2. demands generated at the state start are injected;
-3. each node, in ascending node id, makes a forwarding decision for every
-   stored packet in FIFO arrival order (enqueue on the chosen route's
-   first contact, or drop);
+3. each node, in ascending node id, decides every stored cohort in FIFO
+   arrival order (`forwarding.book_cohort`), queueing the packets booked
+   on each route on its first contact and dropping the rest;
 4. each contact active in the state transmits up to its per-state
    capacity in FIFO order, contacts in plan order; transmitted packets
    arrive at the receiving node when the state ends and are processed in
    the next state. A packet delivered in state q is on time when q is at
-   or before its deadline's grid boundary (`StateGrid.floor_boundary_index`),
-   the rule forwarding and the LP bound apply too.
+   or before its deadline's grid boundary (`StateGrid.floor_boundary_index`,
+   worked out once per demand), the rule forwarding and the LP bound
+   apply too.
 
-Only contacts with queued packets are visited: the run keeps a queue per
-contact that holds packets, made when the first one is queued and dropped
-when it empties, and a state with nothing queued, stored or injected is
-skipped. So a run's cost grows with its packets and the contacts they
-use, not with the plan's size.
-
+Only contacts with queued packets are visited, and a state with nothing
+queued, stored or injected is skipped, so a run's cost grows with its
+cohorts and the contacts they use, not with the plan or the packet count.
 Route tables are computed once per node at simulation start (t = 0) and
 reused for the whole run; intermediate nodes re-decide with their own
-table on every arrival. The whole run is single-threaded and a pure
-function of its inputs.
+table on every arrival, each (node, destination) list sorted once a run.
+The whole run is single-threaded and a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -34,14 +39,18 @@ import io
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
+from operator import attrgetter
+from typing import NamedTuple
 
 from .contact_graph import RouteTable, build_route_tables
 from .contact_plan import ContactPlan
-from .forwarding import CapacityLedger, Packet, Policy, forward_or_drop
+from .forwarding import CapacityLedger, Policy, book_cohort
 
 __all__ = [
     "Demand",
+    "Cohort",
     "PacketRecord",
     "SimResult",
     "Metrics",
@@ -81,57 +90,59 @@ class PacketRecord:
 
     @property
     def delay(self) -> float | None:
-        if self.delivery_time is None:
-            return None
-        return self.delivery_time - self.t_gen
+        return None if self.delivery_time is None else self.delivery_time - self.t_gen
+
+
+class Cohort(NamedTuple):
+    """count packets of one demand, with ids first .. first + count - 1,
+    that share a path so far and, once finished, an outcome and delivery
+    time. deadline is the last state in which a delivery is on time."""
+
+    first: int
+    count: int
+    demand: Demand
+    deadline: int
+    path: tuple[int, ...] = ()
+    outcome: str | None = None
+    delivery_time: float | None = None
 
 
 @dataclass
 class SimResult:
-    """Per-packet records plus per-(contact, state) transmission counts."""
+    """The finished cohorts in packet-id order, plus per-(contact, state)
+    transmission counts."""
 
-    records: list[PacketRecord]
+    cohorts: list[Cohort]
     utilization: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def count(self, outcome: str) -> int:
-        return sum(1 for r in self.records if r.outcome == outcome)
+        return sum(c.count for c in self.cohorts if c.outcome == outcome)
 
     def generated(self) -> int:
-        return len(self.records)
+        return sum(c.count for c in self.cohorts)
 
     def total_transmissions(self) -> int:
-        return sum(r.transmissions for r in self.records)
+        return sum(c.count * len(c.path) for c in self.cohorts)
+
+    @cached_property
+    def records(self) -> list[PacketRecord]:
+        """One record per packet, in packet-id order."""
+        return [
+            PacketRecord(pid, d.src, d.dst, d.t_gen, d.ttl, c.outcome, c.delivery_time,
+                         len(c.path), c.path)
+            for c in self.cohorts for d in (c.demand,) for pid in range(c.first, c.first + c.count)
+        ]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(
-            [
-                "packet_id",
-                "src",
-                "dst",
-                "t_gen",
-                "ttl",
-                "outcome",
-                "delivery_time",
-                "transmissions",
-                "path",
-            ]
-        )
+        w.writerow(f.name for f in fields(PacketRecord))
         for r in self.records:
-            w.writerow(
-                [
-                    r.packet_id,
-                    r.src,
-                    r.dst,
-                    r.t_gen,
-                    "inf" if math.isinf(r.ttl) else r.ttl,
-                    r.outcome,
-                    "" if r.delivery_time is None else r.delivery_time,
-                    r.transmissions,
-                    "|".join(str(c) for c in r.path),
-                ]
-            )
+            w.writerow([
+                r.packet_id, r.src, r.dst, r.t_gen, "inf" if math.isinf(r.ttl) else r.ttl,
+                r.outcome, "" if r.delivery_time is None else r.delivery_time,
+                r.transmissions, "|".join(map(str, r.path)),
+            ])
         return buf.getvalue()
 
 
@@ -145,25 +156,7 @@ class Metrics:
     energy_efficiency: float | None
 
     def as_dict(self) -> dict[str, float | None]:
-        return {
-            "delivery_ratio": self.delivery_ratio,
-            "mean_hops": self.mean_hops,
-            "mean_delay": self.mean_delay,
-            "energy_efficiency": self.energy_efficiency,
-        }
-
-
-class _Tracker:
-    """Mutable in-flight state for one packet."""
-
-    __slots__ = ("packet", "transmissions", "path", "outcome", "delivery_time")
-
-    def __init__(self, packet: Packet):
-        self.packet = packet
-        self.transmissions = 0
-        self.path: list[int] = []
-        self.outcome: str | None = None
-        self.delivery_time: float | None = None
+        return asdict(self)
 
 
 def _check_demands(plan: ContactPlan, demands: list[Demand]) -> list[int]:
@@ -179,9 +172,7 @@ def _check_demands(plan: ContactPlan, demands: list[Demand]) -> list[int]:
             raise ValueError(f"demand ttl must be >= 0: {d}")
         idx = plan.grid.boundary_index(d.t_gen)
         if idx is None or idx >= plan.grid.state_count:
-            raise ValueError(
-                f"demand t_gen {d.t_gen} is not a state start within the horizon"
-            )
+            raise ValueError(f"demand t_gen {d.t_gen} is not a state start within the horizon")
         indices.append(idx)
     return indices
 
@@ -202,7 +193,6 @@ def run_simulation(
     grid = plan.grid
     gen_index = _check_demands(plan, demands)
     destinations = {d.dst for d in demands}
-
     if tables is None:
         tables = build_route_tables(plan, k_routes, destinations)
 
@@ -210,16 +200,18 @@ def run_simulation(
     for d, idx in zip(demands, gen_index):
         injections.setdefault(idx + 1, []).append(d)
 
-    windows = plan.windows
-    ranks = plan.ranks
-    contact = plan.contact
-    # Ledgers are made when a node first decides; each starts full.
-    ledgers: dict[int, CapacityLedger] = {}
-    # Packets each node will decide on in the next step 3, by node.
-    inbox: dict[int, list[Packet]] = {}
-    # The contacts holding queued packets, by contact id; never empty.
-    queues: dict[int, deque[Packet]] = {}
-    trackers: dict[int, _Tracker] = {}
+    windows, ranks, contact = plan.windows, plan.ranks, plan.contact
+    ledgers = {v.node_id: CapacityLedger.for_plan(plan) for v in plan.nodes}
+    # Each node's routes to each destination, in the policy's order.
+    orders = {(v, dst): policy.order(table.routes_for(dst))
+              for v, table in tables.items() for dst in destinations}
+    # Cohorts each node will decide on in the next step 3, by node.
+    inbox: dict[int, list[Cohort]] = {}
+    # The contacts holding queued cohorts, by contact id; never empty.
+    queues: dict[int, deque[Cohort]] = {}
+    # The packets in each of those queues.
+    queued: dict[int, int] = {}
+    finished: list[Cohort] = []
     utilization: dict[tuple[int, int], int] = {}
     next_id = 1
 
@@ -227,80 +219,76 @@ def run_simulation(
         injected = injections.get(q)
         if not (queues or inbox or injected):
             continue
-        t_start = grid.state_start(q)
-        t_end = grid.state_end(q)
+        t_start, t_end = grid.state_start(q), grid.state_end(q)
 
-        # Packets left on a contact with no state left go back to the store,
+        # Cohorts left on a contact with no state left go back to the store,
         # each node's in contact-id order.
         for cid in sorted(cid for cid in queues if windows[cid].last < q):
+            del queued[cid]
             inbox.setdefault(contact(cid).from_node, []).extend(queues.pop(cid))
 
         for d in injected or ():
-            for _ in range(d.count):
-                pkt = Packet(next_id, d.src, d.dst, d.t_gen, d.ttl)
-                tracker = _Tracker(pkt)
-                trackers[next_id] = tracker
-                next_id += 1
-                if d.src == d.dst:
-                    tracker.outcome = "delivered_on_time"
-                    tracker.delivery_time = d.t_gen
-                else:
-                    inbox.setdefault(d.src, []).append(pkt)
+            if not d.count:
+                continue
+            deadline = grid.floor_boundary_index(d.t_gen + d.ttl)
+            if d.src == d.dst:
+                finished.append(
+                    Cohort(next_id, d.count, d, deadline, (), "delivered_on_time", d.t_gen)
+                )
+            else:
+                inbox.setdefault(d.src, []).append(Cohort(next_id, d.count, d, deadline))
+            next_id += d.count
 
         for nid in sorted(inbox):
-            table = tables[nid]
-            ledger = ledgers.get(nid)
-            if ledger is None:
-                ledger = ledgers[nid] = CapacityLedger.for_plan(plan)
-            for pkt in inbox[nid]:
-                route = forward_or_drop(pkt, table, t_start, ledger, policy)
-                if route is None:
-                    trackers[pkt.packet_id].outcome = "dropped"
-                else:
-                    queues.setdefault(route.contacts[0], deque()).append(pkt)
+            ledger = ledgers[nid]
+            for cohort in inbox[nid]:
+                first, count, demand, deadline, path = cohort[:5]
+                routes = orders[nid, demand.dst]
+                cutoff = grid.state_end(deadline)
+                for route, n in book_cohort(routes, count, t_start, cutoff, ledger):
+                    cid = route.contacts[0]
+                    piece = cohort if n == count else Cohort(first, n, demand, deadline, path)
+                    queues.setdefault(cid, deque()).append(piece)
+                    queued[cid] = queued.get(cid, 0) + n
+                    first += n
+                left = cohort.first + count - first
+                if left:
+                    finished.append(Cohort(first, left, demand, deadline, path, "dropped"))
         inbox.clear()
 
         active = [cid for cid in queues if windows[cid].first <= q <= windows[cid].last]
         for cid in sorted(active, key=ranks.__getitem__):
             c = contact(cid)
-            queue = queues[cid]
-            sent = min(c.capacity, len(queue))
+            sent = min(c.capacity, queued[cid])
             if not sent:
                 continue
             utilization[(cid, q)] = sent
-            for _ in range(sent):
-                pkt = queue.popleft()
-                tracker = trackers[pkt.packet_id]
-                tracker.transmissions += 1
-                tracker.path.append(cid)
-                if c.to_node == pkt.dst:
-                    on_time = q <= grid.floor_boundary_index(pkt.deadline)
-                    tracker.outcome = "delivered_on_time" if on_time else "delivered_late"
-                    tracker.delivery_time = t_end
+            queue = queues[cid]
+            left = sent
+            while left:
+                first, count, demand, deadline, path = queue[0][:5]
+                if count > left:
+                    queue[0] = Cohort(first + left, count - left, demand, deadline, path)
+                    count = left
                 else:
-                    inbox.setdefault(c.to_node, []).append(pkt)
-            if not queue:
-                del queues[cid]
+                    queue.popleft()
+                left -= count
+                path += (cid,)
+                if c.to_node == demand.dst:
+                    outcome = "delivered_on_time" if q <= deadline else "delivered_late"
+                    finished.append(Cohort(first, count, demand, deadline, path, outcome, t_end))
+                else:
+                    inbox.setdefault(c.to_node, []).append(
+                        Cohort(first, count, demand, deadline, path)
+                    )
+            queued[cid] -= sent
+            if not queued[cid]:
+                del queues[cid], queued[cid]
 
-    for tracker in trackers.values():
-        if tracker.outcome is None:
-            tracker.outcome = "stranded"
-
-    records = [
-        PacketRecord(
-            packet_id=pid,
-            src=t.packet.src,
-            dst=t.packet.dst,
-            t_gen=t.packet.t_gen,
-            ttl=t.packet.ttl,
-            outcome=t.outcome,
-            delivery_time=t.delivery_time,
-            transmissions=t.transmissions,
-            path=tuple(t.path),
-        )
-        for pid, t in sorted(trackers.items())
-    ]
-    return SimResult(records=records, utilization=utilization)
+    for cohorts in (*queues.values(), *inbox.values()):
+        finished += (cohort._replace(outcome="stranded") for cohort in cohorts)
+    finished.sort(key=attrgetter("first"))
+    return SimResult(finished, utilization)
 
 
 def compute_metrics(result: SimResult, demands: list[Demand]) -> Metrics:
@@ -314,12 +302,14 @@ def compute_metrics(result: SimResult, demands: list[Demand]) -> Metrics:
     generated = result.generated()
     expected = sum(d.count for d in demands)
     if generated != expected:
-        raise ValueError(
-            f"result has {generated} packets but demands describe {expected}"
-        )
+        raise ValueError(f"result has {generated} packets but demands describe {expected}")
     on_time = result.count("delivered_on_time")
     transmissions = result.total_transmissions()
-    delays = [r.delay for r in result.records if r.outcome == "delivered_on_time"]
+    # One delay per packet in id order, so the sum is the per-packet sum.
+    delays = []
+    for c in result.cohorts:
+        if c.outcome == "delivered_on_time":
+            delays += [c.delivery_time - c.demand.t_gen] * c.count
     return Metrics(
         delivery_ratio=on_time / generated if generated else None,
         mean_hops=transmissions / on_time if on_time else None,
@@ -328,11 +318,22 @@ def compute_metrics(result: SimResult, demands: list[Demand]) -> Metrics:
     )
 
 
+def _json_integer(entry: dict, name: str, default: int | None = None) -> int:
+    """entry[name] as a JSON integer: booleans, fractions, strings and
+    numbers beyond 2**53 (where JSON readers lose integers) are refused."""
+    value = entry[name] if default is None else entry.get(name, default)
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+    if abs(value) > 2**53:
+        raise ValueError(f"{name} must be at most 2**53 in magnitude, got {value}")
+    return value
+
+
 def demands_from_json(text: str) -> list[Demand]:
     """Load demands from a JSON array of objects.
 
     Each object carries src, dst, t_gen, count, and ttl; a null or missing
-    ttl means no deadline.
+    ttl means no deadline. src, dst and count must be JSON integers.
     """
     raw = json.loads(text)
     if not isinstance(raw, list):
@@ -342,30 +343,15 @@ def demands_from_json(text: str) -> list[Demand]:
         if not isinstance(entry, dict):
             raise ValueError(f"demand {i} must be a JSON object")
         try:
-            ttl = entry.get("ttl")
-            out.append(
-                Demand(
-                    src=int(entry["src"]),
-                    dst=int(entry["dst"]),
-                    t_gen=float(entry.get("t_gen", 0.0)),
-                    ttl=math.inf if ttl is None else float(ttl),
-                    count=int(entry.get("count", 1)),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as e:
+            src, dst = _json_integer(entry, "src"), _json_integer(entry, "dst")
+            t_gen, ttl = float(entry.get("t_gen", 0.0)), entry.get("ttl")
+            ttl = math.inf if ttl is None else float(ttl)
+            out.append(Demand(src, dst, t_gen, ttl, _json_integer(entry, "count", 1)))
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ValueError(f"demand {i} is malformed: {e}") from None
     return out
 
 
 def demands_to_json(demands: list[Demand]) -> str:
-    entries = [
-        {
-            "src": d.src,
-            "dst": d.dst,
-            "t_gen": d.t_gen,
-            "ttl": None if math.isinf(d.ttl) else d.ttl,
-            "count": d.count,
-        }
-        for d in demands
-    ]
+    entries = [{**asdict(d), "ttl": None if math.isinf(d.ttl) else d.ttl} for d in demands]
     return json.dumps(entries, indent=2, sort_keys=True) + "\n"

@@ -13,10 +13,13 @@ and commodity (bar the structural no-early-send and dest-no-reemit rules)
 and a buffer variable for every timestamp.
 
 `dense_simulation` is the simulator's state loop before it visited only
-queued contacts: every state is stepped, every node's queues are scanned
-for returns, and every contact active in a state is visited in plan order.
-Its on-time test is the grid rule the simulator applies: delivered in a
-state at or before the deadline's `floor_boundary_index`.
+queued contacts and moved cohorts: every state is stepped, every packet is
+decided and sent on its own (with `reference_forward_or_drop`), every
+node's queues are scanned for returns, and every contact active in a
+state is visited in plan order. Its on-time test is the grid rule the
+simulator applies: delivered in a state at or before the deadline's
+`floor_boundary_index`. `reference_metrics` derives the headline metrics
+from its per-packet records as `compute_metrics` once did.
 
 `reference_forward_or_drop` is forwarding as it was written before it
 became one ordered scan: keep every usable route in table order, pick the
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -44,9 +48,9 @@ from scipy.sparse import csr_matrix
 
 from cgrlab.contact_graph import Route, RouteTable, build_route_tables
 from cgrlab.contact_plan import Contact, ContactPlan
-from cgrlab.forwarding import CapacityLedger, Packet, Policy, forward_or_drop
+from cgrlab.forwarding import CapacityLedger, Packet, Policy
 from cgrlab.lp_oracle import Commodity, LpProblem, LpSolution, Violation
-from cgrlab.simulator import Demand, Metrics, PacketRecord, SimResult
+from cgrlab.simulator import Demand, Metrics, PacketRecord
 
 RouteKey = tuple[float, int, tuple[int, ...]]
 
@@ -421,14 +425,20 @@ class _Tracker:
         self.delivery_time: float | None = None
 
 
+class DenseResult(NamedTuple):
+    records: list[PacketRecord]
+    utilization: dict[tuple[int, int], int]
+
+
 def dense_simulation(
     plan: ContactPlan,
     demands: list[Demand],
     policy: Policy,
     k_routes: int = 4,
     tables: dict[int, RouteTable] | None = None,
-) -> SimResult:
-    """`run_simulation` stepped densely, for demands the plan accepts."""
+) -> DenseResult:
+    """`run_simulation` stepped densely, packet by packet, for demands the
+    plan accepts."""
     grid = plan.grid
     gen_index = [grid.boundary_index(d.t_gen) for d in demands]
     if tables is None:
@@ -480,7 +490,7 @@ def dense_simulation(
             box = inbox[nid]
             while box:
                 pkt = box.popleft()
-                route = forward_or_drop(pkt, tables[nid], t_start, ledgers[nid], policy)
+                route = reference_forward_or_drop(pkt, tables[nid], t_start, ledgers[nid], policy)
                 if route is None:
                     trackers[pkt.packet_id].outcome = "dropped"
                 else:
@@ -519,4 +529,18 @@ def dense_simulation(
         )
         for pid, t in sorted(trackers.items())
     ]
-    return SimResult(records=records, utilization=utilization)
+    return DenseResult(records, utilization)
+
+
+def reference_metrics(records: list[PacketRecord]) -> Metrics:
+    """The headline metrics from per-packet records."""
+    generated = len(records)
+    on_time = sum(1 for r in records if r.outcome == "delivered_on_time")
+    transmissions = sum(r.transmissions for r in records)
+    delays = [r.delay for r in records if r.outcome == "delivered_on_time"]
+    return Metrics(
+        delivery_ratio=on_time / generated if generated else None,
+        mean_hops=transmissions / on_time if on_time else None,
+        mean_delay=sum(delays) / on_time if on_time else None,
+        energy_efficiency=on_time / transmissions if transmissions else None,
+    )

@@ -343,3 +343,25 @@ def test_sweep_rejects_a_weight_exponent_without_increasing_weights(tmp_path, ca
     assert (code, out) == (1, "")
     assert err.startswith("error: lp: weight exponent")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("field", ["src", "dst", "count"])
+@pytest.mark.parametrize("value, shown", [
+    ("true", "an integer, got true"),
+    ("1.5", "an integer, got 1.5"),
+    ('"1"', 'an integer, got "1"'),
+    ("1e400", "an integer, got Infinity"),
+    (str(10**30), f"at most 2**53 in magnitude, got {10**30}"),
+])
+def test_a_demand_field_that_is_not_an_integer_is_rejected(
+    one_contact_plan, tmp_path, capsys, field, value, shown
+):
+    entry = {"src": "1", "dst": "2", "t_gen": "0", "ttl": "null", "count": "1", field: value}
+    demands = tmp_path / "bad.json"
+    demands.write_text("[{" + ", ".join(f'"{k}": {v}' for k, v in entry.items()) + "}]")
+    for command in (["sim", "--policy", "hops"], ["lp"], ["lp", "--soft"]):
+        code, out, err = run_cli(
+            capsys, *command, "--plan", one_contact_plan, "--demands", demands
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: demand 0 is malformed: {field} must be {shown}\n"

@@ -12,6 +12,7 @@ from cgrlab.lp_oracle import build_lp, demands_to_commodities, lp_metrics, solve
 from cgrlab.simulator import (
     OUTCOMES,
     Demand,
+    PacketRecord,
     compute_metrics,
     demands_from_json,
     demands_to_json,
@@ -19,7 +20,7 @@ from cgrlab.simulator import (
 )
 
 from conftest import random_demands, random_small_plan
-from oracles import dense_simulation, enumerate_routes
+from oracles import dense_simulation, enumerate_routes, reference_metrics
 
 
 def test_three_node_deltime_congestion(fig1_plan, fig1_demands):
@@ -203,6 +204,35 @@ def test_packets_left_on_an_ended_contact_return_to_the_store():
         assert result.generated() == 2 == sum(result.count(o) for o in OUTCOMES)
 
 
+def test_a_cohort_splits_by_residual_volume_then_by_per_state_capacity():
+    # Seven packets 1 -> 2 with a 25 s deadline, so on time through state 2.
+    # Contact 1 (state 1) has volume 2 and contact 2 (states 2-3) volume 4:
+    # the decision books ids 1-2 on contact 1 and ids 3-6 on contact 2, and
+    # drops id 7. Contact 2 sends 2 a state, so ids 5-6 arrive in state 3,
+    # late.
+    plan = parse_contact_plan(
+        "plan 3 10\nnode 1 inf\nnode 2 inf\ncontact 1 1 2 0 10 2\ncontact 2 1 2 10 30 2\n"
+    )
+    demand = Demand(1, 2, 0.0, 25.0, 7)
+
+    def record(pid, outcome, delivery_time, path):
+        return PacketRecord(pid, 1, 2, 0.0, 25.0, outcome, delivery_time, len(path), path)
+
+    for policy in Policy:
+        result = run_simulation(plan, [demand], policy, 2)
+        assert result.records == [
+            record(1, "delivered_on_time", 10.0, (1,)),
+            record(2, "delivered_on_time", 10.0, (1,)),
+            record(3, "delivered_on_time", 20.0, (2,)),
+            record(4, "delivered_on_time", 20.0, (2,)),
+            record(5, "delivered_late", 30.0, (2,)),
+            record(6, "delivered_late", 30.0, (2,)),
+            record(7, "dropped", None, ()),
+        ]
+        assert result.utilization == {(1, 1): 2, (2, 2): 2, (2, 3): 2}
+        assert [(c.first, c.count) for c in result.cohorts] == [(1, 2), (3, 2), (5, 2), (7, 1)]
+
+
 def test_deadline_on_an_inexact_grid_is_the_lps_boundary():
     # 3 * 0.1 is 0.30000000000000004, past the 0.3 s deadline as a float,
     # but state 3 ends on the deadline's grid boundary, so the packet is on
@@ -223,6 +253,8 @@ def simulations(draw):
     order of start, mixed deadlines, burst or per-state injection, a
     policy, and route tables built at t = 0 or later (so packets can
     outlive the contact they were queued on and return to the store).
+    Counts of up to 12 packets against capacities of 0 to 3 split cohorts
+    both where they are booked and where they are sent.
 
     Half the plans are funnels: the sources' contacts all lead to one
     relay, which alone reaches the destination. Packets from contacts that
@@ -265,7 +297,7 @@ def simulations(draw):
         else:
             src, dst = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
         ttl = draw(st.sampled_from([math.inf, 0.0, 1.0, 1.5, 2.0, 3.0])) * duration
-        count = draw(st.integers(1, 6))
+        count = draw(st.integers(1, 12))
         starts = range(1, states + 1) if per_state else [draw(st.sampled_from([1, built_at]))]
         demands += [Demand(src, dst, grid.state_start(q), ttl, count) for q in starts]
 
@@ -301,3 +333,8 @@ def test_stepping_only_queued_contacts_matches_the_dense_loop(case):
     dense = dense_simulation(plan, demands, policy, k, tables)
     assert sparse.records == dense.records
     assert sparse.utilization == dense.utilization
+    for outcome in OUTCOMES:
+        assert sparse.count(outcome) == sum(1 for r in dense.records if r.outcome == outcome)
+    assert sparse.generated() == len(dense.records)
+    assert sparse.total_transmissions() == sum(r.transmissions for r in dense.records)
+    assert compute_metrics(sparse, demands) == reference_metrics(dense.records)
