@@ -26,14 +26,8 @@ from .contact_graph import (
     build_route_table,
     earliest_delivery_route,
     k_best_routes,
-    route_attributes,
 )
-from .forwarding import (
-    CapacityLedger,
-    Packet,
-    Policy,
-    forward_or_drop,
-)
+from .forwarding import CapacityLedger, Policy
 from .simulator import (
     Demand,
     Metrics,

@@ -24,8 +24,8 @@ from .contact_plan import (
     serialize_contact_plan,
     validate,
 )
-from .contact_graph import RouteError, build_route_table, route_table_csv
-from .forwarding import CapacityError, Policy
+from .contact_graph import build_route_table, route_table_csv
+from .forwarding import Policy
 from .lp_oracle import (
     LpSolverError,
     build_lp,
@@ -51,8 +51,6 @@ from .simulator import OUTCOMES, compute_metrics, demands_from_json, run_simulat
 
 _DOMAIN_ERRORS = (
     PlanError,
-    RouteError,
-    CapacityError,
     LpSolverError,
     ConfigError,
     ValueError,

@@ -5,13 +5,16 @@ destination node. Transmission over a contact occupies one whole state,
 and the traffic becomes available at the receiving node when that state
 ends, so a route's schedule is a strictly increasing sequence of states.
 Scheduling is greedy: each contact transmits in its first covered state
-starting at or after the traffic's availability time.
+starting at or after the traffic's availability time. A route carries
+its schedule as integer state indices (`Route.states`); times in seconds
+are read off the plan's grid only where they are printed.
 
 Every function here orders routes by the total key
 
-    (delivery_time, hops, contact-id sequence)
+    (delivery state, hops, contact-id sequence)
 
-so results are deterministic.
+so results are deterministic. State ends strictly increase, so this is
+the order on delivery time.
 
 Route search reads a completion table, one per (plan, destination), built
 by one backward pass over the states on first use and kept on the plan.
@@ -31,25 +34,18 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from .contact_plan import ContactPlan, StateGrid
 
 __all__ = [
     "Route",
     "RouteTable",
-    "RouteError",
     "earliest_delivery_route",
     "k_best_routes",
     "build_route_table",
     "build_route_tables",
-    "route_attributes",
     "route_table_csv",
 ]
-
-
-class RouteError(ValueError):
-    """A contact-id chain that cannot form a schedulable route."""
 
 
 @dataclass(frozen=True)
@@ -57,32 +53,33 @@ class Route:
     """A contact chain with its derived attributes, as scheduled from the
     query time.
 
-    departure_time is the start of the first contact's scheduled
-    transmission state; expiration is the earliest contact end (the route
-    dies when any of its contacts ends); max_volume is the smallest
-    whole-window volume along the chain. states holds the state each
-    contact transmits in; it takes no part in comparisons. sort_key and
-    hops_key are the DELTIME and HOPS orders, as key functions.
+    states holds the state each contact transmits in: the route departs
+    at the start of states[0] and delivers at the end of states[-1].
+    expiration is the earliest contact end in seconds (the route dies
+    when any of its contacts ends); max_volume is the smallest
+    whole-window volume along the chain. sort_key and hops_key are the
+    DELTIME and HOPS orders, as key functions.
     """
 
     contacts: tuple[int, ...]
     source: int
     destination: int
-    departure_time: float
-    delivery_time: float
     hops: int
     expiration: float
     max_volume: int
-    states: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    states: tuple[int, ...]
 
-    sort_key = attrgetter("delivery_time", "hops", "contacts")
-    hops_key = attrgetter("hops", "delivery_time", "contacts")
+    def sort_key(self) -> tuple[int, int, tuple[int, ...]]:
+        return self.states[-1], self.hops, self.contacts
+
+    def hops_key(self) -> tuple[int, int, tuple[int, ...]]:
+        return self.hops, self.states[-1], self.contacts
 
 
 @dataclass
 class RouteTable:
     """Per-destination route lists computed by one node from the shared
-    plan, with the plan's grid, on which every route time lies."""
+    plan, with the plan's grid, which turns route states into times."""
 
     owner: int
     grid: StateGrid
@@ -98,55 +95,15 @@ class RouteTable:
 def _route(plan: ContactPlan, ids: tuple[int, ...], states: tuple[int, ...]) -> Route:
     """The Route for a node-connected id chain and its transmission states."""
     index = _index(plan)
-    grid = plan.grid
     return Route(
         contacts=ids,
         source=plan.contact(ids[0]).from_node,
         destination=index.to_node[ids[-1]],
-        departure_time=grid.state_start(states[0]),
-        delivery_time=grid.state_end(states[-1]),
         hops=len(ids),
         expiration=min(map(index.end.__getitem__, ids)),
         max_volume=min(map(plan.volumes.__getitem__, ids)),
         states=states,
     )
-
-
-def route_attributes(plan: ContactPlan, contacts: list[int], t_now: float = 0.0) -> Route:
-    """Schedule a contact-id chain greedily from t_now and derive its
-    attributes.
-
-    Raises RouteError if the ids are unknown, the chain is not
-    node-connected, or some contact has no usable state at or after the
-    traffic's arrival (including a first contact already ended at t_now).
-    """
-    ids = tuple(contacts)
-    if not ids:
-        raise RouteError("route must contain at least one contact")
-    try:
-        chain = [plan.contact(cid) for cid in ids]
-    except KeyError as e:
-        raise RouteError(str(e)) from None
-    for prev, nxt in zip(chain, chain[1:]):
-        if prev.to_node != nxt.from_node:
-            raise RouteError(
-                f"broken chain: contact {prev.contact_id} ends at node {prev.to_node} "
-                f"but contact {nxt.contact_id} starts at node {nxt.from_node}"
-            )
-
-    windows = plan.windows
-    avail = plan.grid.first_state_starting_at_or_after(t_now) - 1
-    states = []
-    for i, cid in enumerate(ids):
-        first, last = windows[cid]
-        avail = max(avail + 1, first)
-        if avail > last:
-            raise RouteError(
-                f"contact {cid} has no transmission state at or after "
-                f"{'t_now' if i == 0 else f'contact {ids[i - 1]}'}"
-            )
-        states.append(avail)
-    return _route(plan, ids, tuple(states))
 
 
 # A completion: (delivery state, hops, contact ids, transmission states).
@@ -260,7 +217,7 @@ def earliest_delivery_route(
 ) -> Route | None:
     """Best route from source to dest usable from t_now, or None.
 
-    "Best" is the minimum of (delivery_time, hops, contact-id sequence).
+    "Best" is the minimum of (delivery state, hops, contact-id sequence).
     Suppressed contacts and nodes are excluded from the search, which is
     what the k-best layer needs to force deviations.
 
@@ -342,7 +299,7 @@ def k_best_routes(
     t_now: float = 0.0,
     k_routes: int = 1,
 ) -> list[Route]:
-    """The k_routes best distinct routes under (delivery_time, hops, ids).
+    """The k_routes best distinct routes under (delivery state, hops, ids).
 
     Spur-node enumeration: each accepted route is re-branched at every
     position from its own deviation point onward, with the shared prefix
@@ -392,7 +349,7 @@ def k_best_routes(
                 continue
             seen.add(total)
             states = parent.states[:j] + spur.states
-            key = (grid.state_end(states[-1]), len(total), total)
+            key = (states[-1], len(total), total)
             heapq.heappush(candidates, (key, j, total, states))
         if not candidates:
             break
@@ -438,7 +395,7 @@ def route_table_csv(table: RouteTable) -> str:
         for i, r in enumerate(table.routes_for(dest)):
             path = "|".join(str(c) for c in r.contacts)
             lines.append(
-                f"{i},{table.owner},{dest},{path},{r.delivery_time},"
+                f"{i},{table.owner},{dest},{path},{table.grid.state_end(r.states[-1])},"
                 f"{r.hops},{r.expiration},{r.max_volume}"
             )
     return "\n".join(lines) + "\n"

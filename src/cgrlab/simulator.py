@@ -38,9 +38,11 @@ import csv
 import io
 import json
 import math
+import sys
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -126,7 +128,9 @@ class SimResult:
 
     @cached_property
     def records(self) -> list[PacketRecord]:
-        """One record per packet, in packet-id order."""
+        """One record per packet, in packet-id order. Per packet by design,
+        as `cgrlab sim --packets-csv` prints it, so unlike the run and
+        `compute_metrics` it grows with the packet count."""
         return [
             PacketRecord(pid, d.src, d.dst, d.t_gen, d.ttl, c.outcome, c.delivery_time,
                          len(c.path), c.path)
@@ -201,7 +205,7 @@ def run_simulation(
         injections.setdefault(idx + 1, []).append(d)
 
     windows, ranks, contact = plan.windows, plan.ranks, plan.contact
-    ledgers = {v.node_id: CapacityLedger.for_plan(plan) for v in plan.nodes}
+    ledgers = {v.node_id: CapacityLedger(plan.volumes) for v in plan.nodes}
     # Each node's routes to each destination, in the policy's order.
     orders = {(v, dst): policy.order(table.routes_for(dst))
               for v, table in tables.items() for dst in destinations}
@@ -219,7 +223,7 @@ def run_simulation(
         injected = injections.get(q)
         if not (queues or inbox or injected):
             continue
-        t_start, t_end = grid.state_start(q), grid.state_end(q)
+        t_end = grid.state_end(q)
 
         # Cohorts left on a contact with no state left go back to the store,
         # each node's in contact-id order.
@@ -244,8 +248,7 @@ def run_simulation(
             for cohort in inbox[nid]:
                 first, count, demand, deadline, path = cohort[:5]
                 routes = orders[nid, demand.dst]
-                cutoff = grid.state_end(deadline)
-                for route, n in book_cohort(routes, count, t_start, cutoff, ledger):
+                for route, n in book_cohort(routes, count, q, deadline, ledger):
                     cid = route.contacts[0]
                     piece = cohort if n == count else Cohort(first, n, demand, deadline, path)
                     queues.setdefault(cid, deque()).append(piece)
@@ -298,6 +301,9 @@ def compute_metrics(result: SimResult, demands: list[Demand]) -> Metrics:
     energy_efficiency charge the transmissions of every packet, including
     ones that were later dropped; mean_delay averages over on-time
     deliveries. Any 0/0 case yields None rather than a silent zero.
+
+    Memory is constant in the packet count: the delays are summed one
+    packet at a time, in id order, without being stored.
     """
     generated = result.generated()
     expected = sum(d.count for d in demands)
@@ -306,10 +312,10 @@ def compute_metrics(result: SimResult, demands: list[Demand]) -> Metrics:
     on_time = result.count("delivered_on_time")
     transmissions = result.total_transmissions()
     # One delay per packet in id order, so the sum is the per-packet sum.
-    delays = []
-    for c in result.cohorts:
-        if c.outcome == "delivered_on_time":
-            delays += [c.delivery_time - c.demand.t_gen] * c.count
+    delays = chain.from_iterable(
+        repeat(c.delivery_time - c.demand.t_gen, c.count)
+        for c in result.cohorts if c.outcome == "delivered_on_time"
+    )
     return Metrics(
         delivery_ratio=on_time / generated if generated else None,
         mean_hops=transmissions / on_time if on_time else None,
@@ -329,11 +335,20 @@ def _json_integer(entry: dict, name: str, default: int | None = None) -> int:
     return value
 
 
+def _json_number(value, name: str) -> float:
+    """value as a finite JSON number: booleans, strings and numbers that
+    are not finite or overflow a float (`1e400`, `NaN`) are refused."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {json.dumps(value)}")
+    return float(value)
+
+
 def demands_from_json(text: str) -> list[Demand]:
     """Load demands from a JSON array of objects.
 
     Each object carries src, dst, t_gen, count, and ttl; a null or missing
-    ttl means no deadline. src, dst and count must be JSON integers.
+    ttl means no deadline. src, dst and count must be JSON integers, t_gen
+    and ttl finite JSON numbers.
     """
     raw = json.loads(text)
     if not isinstance(raw, list):
@@ -344,10 +359,10 @@ def demands_from_json(text: str) -> list[Demand]:
             raise ValueError(f"demand {i} must be a JSON object")
         try:
             src, dst = _json_integer(entry, "src"), _json_integer(entry, "dst")
-            t_gen, ttl = float(entry.get("t_gen", 0.0)), entry.get("ttl")
-            ttl = math.inf if ttl is None else float(ttl)
+            t_gen, ttl = _json_number(entry.get("t_gen", 0.0), "t_gen"), entry.get("ttl")
+            ttl = math.inf if ttl is None else _json_number(ttl, "ttl")
             out.append(Demand(src, dst, t_gen, ttl, _json_integer(entry, "count", 1)))
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
+        except (KeyError, ValueError) as e:
             raise ValueError(f"demand {i} is malformed: {e}") from None
     return out
 

@@ -22,8 +22,13 @@ simulator applies: delivered in a state at or before the deadline's
 from its per-packet records as `compute_metrics` once did.
 
 `reference_forward_or_drop` is forwarding as it was written before it
-became one ordered scan: keep every usable route in table order, pick the
-policy's minimum among them, then book it.
+became one ordered scan on integer states: keep every usable route in
+table order, testing expiration, departure and delivery as times in
+seconds read off the table's grid, pick the policy's minimum among them
+on those times, then book it atomically.
+
+`route_attributes` schedules a given contact-id chain greedily from
+scratch, as the library's search once did per candidate.
 
 `reference_verify_solution` is the LP verifier as it was written before it
 checked arrays: one pass over the flows in dictionary order, then every row
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -47,8 +53,8 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
 from cgrlab.contact_graph import Route, RouteTable, build_route_tables
-from cgrlab.contact_plan import Contact, ContactPlan
-from cgrlab.forwarding import CapacityLedger, Packet, Policy
+from cgrlab.contact_plan import Contact, ContactPlan, StateGrid
+from cgrlab.forwarding import CapacityLedger, Policy
 from cgrlab.lp_oracle import Commodity, LpProblem, LpSolution, Violation
 from cgrlab.simulator import Demand, Metrics, PacketRecord
 
@@ -350,6 +356,64 @@ def reference_lp_metrics(
     )
 
 
+@dataclass
+class Packet:
+    """One unit of traffic; ttl may be math.inf for no deadline."""
+
+    packet_id: int
+    src: int
+    dst: int
+    t_gen: float
+    ttl: float = math.inf
+
+    @property
+    def deadline(self) -> float:
+        return self.t_gen + self.ttl
+
+
+def route_attributes(plan: ContactPlan, contacts: list[int], t_now: float = 0.0) -> Route:
+    """Schedule a contact-id chain greedily from t_now and derive its
+    attributes.
+
+    Raises ValueError if the ids are unknown, the chain is not
+    node-connected, or some contact has no usable state at or after the
+    traffic's arrival (including a first contact already ended at t_now).
+    """
+    ids = tuple(contacts)
+    if not ids:
+        raise ValueError("route must contain at least one contact")
+    try:
+        chain = [plan.contact(cid) for cid in ids]
+    except KeyError as e:
+        raise ValueError(str(e)) from None
+    for prev, nxt in zip(chain, chain[1:]):
+        if prev.to_node != nxt.from_node:
+            raise ValueError(
+                f"broken chain: contact {prev.contact_id} ends at node {prev.to_node} "
+                f"but contact {nxt.contact_id} starts at node {nxt.from_node}"
+            )
+    avail = plan.grid.first_state_starting_at_or_after(t_now) - 1
+    states = []
+    for i, cid in enumerate(ids):
+        first, last = plan.windows[cid]
+        avail = max(avail + 1, first)
+        if avail > last:
+            raise ValueError(
+                f"contact {cid} has no transmission state at or after "
+                f"{'t_now' if i == 0 else f'contact {ids[i - 1]}'}"
+            )
+        states.append(avail)
+    return Route(
+        contacts=ids,
+        source=chain[0].from_node,
+        destination=chain[-1].to_node,
+        hops=len(ids),
+        expiration=min(c.end for c in chain),
+        max_volume=min(plan.volumes[cid] for cid in ids),
+        states=tuple(states),
+    )
+
+
 def filter_routes(
     table: RouteTable, pkt: Packet, t_now: float, ledger: CapacityLedger
 ) -> list[Route]:
@@ -368,32 +432,41 @@ def filter_routes(
     for r in table.routes_for(pkt.dst):
         if r.expiration <= t_now:
             continue
-        if r.departure_time < t_now:
+        if grid.state_start(r.states[0]) < t_now:
             continue
         if any(ledger.residual(cid) < 1 for cid in r.contacts):
             continue
-        if r.delivery_time > cutoff:
+        if grid.state_end(r.states[-1]) > cutoff:
             continue
         out.append(r)
     return out
 
 
-def select_route(feasible: list[Route], policy: Policy) -> Route | None:
-    """Pick the best feasible route under the policy, or None if empty."""
+def select_route(feasible: list[Route], policy: Policy, grid: StateGrid) -> Route | None:
+    """Pick the best feasible route under the policy, or None if empty:
+    DELTIME on (delivery time, hops, ids), HOPS on (hops, delivery time,
+    ids), with delivery times in seconds read off the grid."""
     if not feasible:
         return None
     if policy is Policy.DELTIME:
-        return min(feasible, key=Route.sort_key)
-    return min(feasible, key=Route.hops_key)
+        return min(feasible, key=lambda r: (grid.state_end(r.states[-1]), r.hops, r.contacts))
+    return min(feasible, key=lambda r: (r.hops, grid.state_end(r.states[-1]), r.contacts))
 
 
 def book_capacity(ledger: CapacityLedger, route: Route, n: int) -> CapacityLedger:
     """Reserve n packets of volume on every contact of the route.
 
-    Atomic: raises CapacityError (without mutating) when any contact's
-    residual is insufficient. Returns the ledger for chaining.
+    Atomic: raises ValueError (without mutating) when n is negative or
+    any contact's residual is insufficient. Returns the ledger for
+    chaining.
     """
-    ledger.book(route.contacts, n)
+    if n < 0:
+        raise ValueError(f"cannot book a negative volume ({n})")
+    for cid in route.contacts:
+        if ledger.residual(cid) < n:
+            raise ValueError(f"contact {cid} has residual {ledger.residual(cid)}, need {n}")
+    if n:
+        ledger.book_up_to(route.contacts, n)
     return ledger
 
 
@@ -409,7 +482,7 @@ def reference_forward_or_drop(
     Returns the booked route whose first contact the packet should be
     queued on, or None when the packet must be dropped.
     """
-    route = select_route(filter_routes(table, pkt, t_now, ledger), policy)
+    route = select_route(filter_routes(table, pkt, t_now, ledger), policy, table.grid)
     if route is None:
         return None
     book_capacity(ledger, route, 1)
@@ -445,7 +518,7 @@ def dense_simulation(
         tables = build_route_tables(plan, k_routes, {d.dst for d in demands})
 
     node_ids = sorted(plan.node_ids)
-    ledgers = {nid: CapacityLedger.for_plan(plan) for nid in node_ids}
+    ledgers = {nid: CapacityLedger(plan.volumes) for nid in node_ids}
     inbox: dict[int, deque[Packet]] = {nid: deque() for nid in node_ids}
     # Each node's queues in contact-id order, the order they return packets in.
     queues: dict[int, dict[int, deque[Packet]]] = {nid: {} for nid in node_ids}

@@ -120,7 +120,7 @@ def test_criterion_2_route_search_matches_enumeration():
 
         best = earliest_delivery_route(plan, src, dst, 0.0)
         if expected:
-            if best is None or best.contacts != expected[0][2] or best.delivery_time != pytest.approx(expected[0][0]):
+            if best is None or best.contacts != expected[0][2] or plan.grid.state_end(best.states[-1]) != pytest.approx(expected[0][0]):
                 mismatches += 1
         elif best is not None:
             mismatches += 1
@@ -130,7 +130,7 @@ def test_criterion_2_route_search_matches_enumeration():
             want = expected[:k]
             if [r.contacts for r in got] != [ids for _, _, ids in want]:
                 mismatches += 1
-            if [r.delivery_time for r in got] != pytest.approx([d for d, _, _ in want]):
+            if [plan.grid.state_end(r.states[-1]) for r in got] != pytest.approx([d for d, _, _ in want]):
                 mismatches += 1
     elapsed = time.monotonic() - started
     ok = mismatches == 0 and elapsed < 10.0

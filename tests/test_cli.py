@@ -308,7 +308,7 @@ def test_a_nan_ttl_is_rejected(one_contact_plan, tmp_path, capsys, command):
         capsys, *command[:1], "--plan", one_contact_plan, "--demands", demands, *command[1:]
     )
     assert (code, out) == (1, "")
-    assert err.startswith("error: ") and "ttl must be >= 0" in err
+    assert err == "error: demand 0 is malformed: ttl must be a finite number, got NaN\n"
 
 
 @pytest.mark.parametrize("exponent", ["nan", "inf", "0", "-1", "400", "1e-300"])
@@ -345,15 +345,33 @@ def test_sweep_rejects_a_weight_exponent_without_increasing_weights(tmp_path, ca
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("field", ["src", "dst", "count"])
-@pytest.mark.parametrize("value, shown", [
+_NOT_INTEGERS = [
     ("true", "an integer, got true"),
     ("1.5", "an integer, got 1.5"),
     ('"1"', 'an integer, got "1"'),
     ("1e400", "an integer, got Infinity"),
     (str(10**30), f"at most 2**53 in magnitude, got {10**30}"),
+]
+_NOT_FINITE_NUMBERS = [
+    ("ttl", '"5"', '"5"'),
+    ("ttl", '"inf"', '"inf"'),
+    ("ttl", "1e400", "Infinity"),
+    ("ttl", "-Infinity", "-Infinity"),
+    ("ttl", "true", "true"),
+    ("t_gen", '"10"', '"10"'),
+    ("t_gen", "true", "true"),
+    ("t_gen", "null", "null"),
+    ("t_gen", "NaN", "NaN"),
+    ("t_gen", "1e400", "Infinity"),
+]
+
+
+@pytest.mark.parametrize("field, value, shown", [
+    *((field, value, shown) for field in ("src", "dst", "count") for value, shown in _NOT_INTEGERS),
+    *((field, value, f"a finite number, got {shown}") for field, value, shown in _NOT_FINITE_NUMBERS),
+    pytest.param("t_gen", str(10**400), f"a finite number, got {10**400}", id="t_gen-10**400"),
 ])
-def test_a_demand_field_that_is_not_an_integer_is_rejected(
+def test_a_demand_field_of_the_wrong_type_is_rejected(
     one_contact_plan, tmp_path, capsys, field, value, shown
 ):
     entry = {"src": "1", "dst": "2", "t_gen": "0", "ttl": "null", "count": "1", field: value}

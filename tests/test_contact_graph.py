@@ -8,12 +8,10 @@ import pytest
 
 from cgrlab import contact_graph
 from cgrlab.contact_graph import (
-    RouteError,
     build_route_table,
     build_route_tables,
     earliest_delivery_route,
     k_best_routes,
-    route_attributes,
     route_table_csv,
 )
 from cgrlab.contact_plan import (
@@ -27,34 +25,35 @@ from cgrlab.contact_plan import (
 )
 
 from conftest import random_small_plan
-from oracles import enumerate_routes
+from oracles import enumerate_routes, route_attributes
 
 
 def test_route_attributes_two_hop(fig1_plan):
     r = route_attributes(fig1_plan, [1, 2], 0.0)
-    assert r.delivery_time == 20.0
+    assert fig1_plan.grid.state_end(r.states[-1]) == 20.0
     assert r.hops == 2
     assert r.expiration == 10.0  # dies when its first contact ends
     assert r.max_volume == 10
-    assert r.departure_time == 0.0
+    assert fig1_plan.grid.state_start(r.states[0]) == 0.0
     assert (r.source, r.destination) == (1, 3)
+    assert r == earliest_delivery_route(fig1_plan, 1, 3, 0.0)
 
 
 def test_route_attributes_single_contact(fig1_plan):
     r = route_attributes(fig1_plan, [3], 0.0)
-    assert r.delivery_time == 30.0
+    assert fig1_plan.grid.state_end(r.states[-1]) == 30.0
     assert r.hops == 1
-    assert r.departure_time == 20.0
+    assert fig1_plan.grid.state_start(r.states[0]) == 20.0
     assert r.max_volume == fig1_plan.contact(3).capacity
 
 
 def test_route_attributes_broken_chain(fig1_plan):
-    with pytest.raises(RouteError, match="broken chain"):
+    with pytest.raises(ValueError, match="broken chain"):
         route_attributes(fig1_plan, [1, 3], 0.0)
 
 
 def test_route_attributes_contact_already_ended(fig1_plan):
-    with pytest.raises(RouteError):
+    with pytest.raises(ValueError):
         route_attributes(fig1_plan, [1, 2], 15.0)  # first hop's window closed
 
 
@@ -65,14 +64,14 @@ def test_route_attributes_unschedulable_order():
         [NodeSpec(1), NodeSpec(2), NodeSpec(3)],
         [Contact(1, 1, 2, 10.0, 20.0, 5), Contact(2, 2, 3, 0.0, 10.0, 5)],
     )
-    with pytest.raises(RouteError):
+    with pytest.raises(ValueError):
         route_attributes(plan, [1, 2], 0.0)  # second contact ends before first begins
 
 
 def test_earliest_route_prefers_delivery_time(fig1_plan):
     r = earliest_delivery_route(fig1_plan, 1, 3, 0.0)
     assert r.contacts == (1, 2)
-    assert r.delivery_time == 20.0
+    assert fig1_plan.grid.state_end(r.states[-1]) == 20.0
 
 
 def test_earliest_route_breaks_delivery_and_hop_ties_on_contact_ids():
@@ -88,7 +87,7 @@ def test_earliest_route_breaks_delivery_and_hop_ties_on_contact_ids():
     )
     r = earliest_delivery_route(plan, 5, 2)
     assert r.contacts == (6, 9, 16)
-    assert r.delivery_time == 60.0
+    assert plan.grid.state_end(r.states[-1]) == 60.0
     # The same tie the other way round: from t = 10 the smaller ids (6)
     # leave in a state their contact covers after its first, the larger
     # (22) in their contact's first state.
@@ -102,7 +101,7 @@ def test_earliest_route_breaks_delivery_and_hop_ties_on_contact_ids():
     )
     r = earliest_delivery_route(plan, 5, 2, 10.0)
     assert r.contacts == (6, 9, 16)
-    assert r.delivery_time == 60.0
+    assert plan.grid.state_end(r.states[-1]) == 60.0
 
 
 def test_earliest_route_unreachable(fig1_plan):
@@ -130,7 +129,7 @@ def test_earliest_route_respects_suppressions(fig1_plan):
 def test_k_best_three_node(fig1_plan):
     routes = k_best_routes(fig1_plan, 1, 3, 0.0, 2)
     assert [r.contacts for r in routes] == [(1, 2), (3,)]
-    assert [r.delivery_time for r in routes] == [20.0, 30.0]
+    assert [fig1_plan.grid.state_end(r.states[-1]) for r in routes] == [20.0, 30.0]
     assert [r.hops for r in routes] == [2, 1]
 
 
@@ -145,7 +144,7 @@ def test_route_table_three_node(fig1_plan):
     routes = table.routes_for(3)
     assert len(routes) == 1
     assert routes[0].contacts == (2,)
-    assert routes[0].delivery_time == 20.0
+    assert fig1_plan.grid.state_end(routes[0].states[-1]) == 20.0
     assert routes[0].hops == 1
 
 
@@ -187,7 +186,7 @@ def test_earliest_route_matches_enumeration_on_seeded_plans():
         else:
             delivery, hops, ids = expected[0]
             assert got.contacts == ids
-            assert got.delivery_time == pytest.approx(delivery)
+            assert plan.grid.state_end(got.states[-1]) == pytest.approx(delivery)
             assert got.hops == hops
 
 
@@ -214,7 +213,7 @@ def test_earliest_route_with_suppressions_matches_enumeration():
                 assert got is None
             else:
                 assert got.contacts == expected[0][2]
-                assert got.delivery_time == pytest.approx(expected[0][0])
+                assert plan.grid.state_end(got.states[-1]) == pytest.approx(expected[0][0])
                 assert not set(got.contacts) & sup_c
 
 
@@ -284,7 +283,7 @@ def test_k_best_matches_enumeration_on_seeded_plans():
             for k in (1, 4, 6):
                 got = k_best_routes(plan, src, dst, t_now, k)
                 assert [r.contacts for r in got] == [ids for _, _, ids in expected[:k]]
-                assert [r.delivery_time for r in got] == pytest.approx(
+                assert [plan.grid.state_end(r.states[-1]) for r in got] == pytest.approx(
                     [t for t, _, _ in expected[:k]]
                 )
 
@@ -319,7 +318,7 @@ def test_routes_never_revisit_nodes_and_schedule_increases():
                 assert q <= last
                 avail = q
                 states.append(q)
-            assert grid.state_end(avail) == r.delivery_time
+            assert grid.state_end(avail) == grid.state_end(r.states[-1])
             # The composed schedule is the greedy one, as route_attributes
             # schedules the chain from scratch.
             assert r.states == tuple(states)

@@ -7,15 +7,9 @@ from hypothesis import strategies as st
 
 from cgrlab.contact_graph import Route, RouteTable, build_route_table
 from cgrlab.contact_plan import Contact, ContactPlan, NodeSpec, StateGrid
-from cgrlab.forwarding import (
-    CapacityError,
-    CapacityLedger,
-    Packet,
-    Policy,
-    forward_or_drop,
-)
+from cgrlab.forwarding import CapacityLedger, Policy, book_cohort
 
-from oracles import reference_forward_or_drop
+from oracles import Packet, reference_forward_or_drop
 
 
 @pytest.fixture
@@ -25,38 +19,49 @@ def n1_table(fig1_plan):
 
 @pytest.fixture
 def ledger(fig1_plan):
-    return CapacityLedger.for_plan(fig1_plan)
+    return CapacityLedger(fig1_plan.volumes)
 
 
-def _choices(table, pkt, t_now, ledger):
-    """The route each policy books for pkt, each on its own copy of ledger."""
-    return {
-        policy: forward_or_drop(pkt, table, t_now, copy.deepcopy(ledger), policy)
-        for policy in Policy
-    }
+def _book(table, policy, n, q, deadline, ledger, dst=3):
+    """book_cohort on the table's routes to dst, in the policy's order."""
+    return book_cohort(policy.order(table.routes_for(dst)), n, q, deadline, ledger)
+
+
+def _choices(table, q, deadline, ledger):
+    """The route each policy books for one packet decided in state q with
+    deadline state `deadline`, each on its own copy of ledger; None for a
+    drop."""
+    choices = {}
+    for policy in Policy:
+        booked = _book(table, policy, 1, q, deadline, copy.deepcopy(ledger))
+        choices[policy] = booked[0][0] if booked else None
+    return choices
 
 
 def test_filter_keeps_both_routes_for_lenient_deadline(n1_table, ledger):
     # Both routes are usable, so each policy books the one it ranks first.
-    choices = _choices(n1_table, Packet(1, 1, 3, 0.0, 30.0), 0.0, ledger)
+    # The two-hop route first transmits in state 1, the decision state.
+    choices = _choices(n1_table, 1, 3, ledger)
     assert choices[Policy.DELTIME].contacts == (1, 2)
     assert choices[Policy.HOPS].contacts == (3,)
 
 
 def test_filter_applies_deadline(n1_table, ledger):
-    choices = _choices(n1_table, Packet(1, 1, 3, 0.0, 20.0), 0.0, ledger)
+    # The two-hop route delivers in state 2, the deadline state itself.
+    choices = _choices(n1_table, 1, 2, ledger)
     assert {route.contacts for route in choices.values()} == {(1, 2)}
 
 
 def test_filter_excludes_exhausted_capacity(n1_table, ledger):
-    ledger.book(n1_table.routes_for(3)[0].contacts, 10)  # drains contacts 1 and 2
-    choices = _choices(n1_table, Packet(1, 1, 3, 0.0, 30.0), 0.0, ledger)
+    assert ledger.book_up_to(n1_table.routes_for(3)[0].contacts, 10) == 10  # drains 1 and 2
+    choices = _choices(n1_table, 1, 3, ledger)
     assert {route.contacts for route in choices.values()} == {(3,)}
 
 
 def test_filter_excludes_expired_and_departed_routes(n1_table, ledger):
-    # the two-hop route expired at 10 s and its departure has passed
-    choices = _choices(n1_table, Packet(1, 1, 3, 10.0, math.inf), 10.0, ledger)
+    # In state 2 the two-hop route has expired (its first contact ended at
+    # 10 s), which shows as a first transmission state before the decision.
+    choices = _choices(n1_table, 2, 3, ledger)
     assert {route.contacts for route in choices.values()} == {(3,)}
 
 
@@ -65,17 +70,16 @@ def test_select_route_policies(n1_table, ledger):
     # The order the table lists its routes in does not matter.
     for listed in (routes, routes[::-1]):
         table = RouteTable(1, n1_table.grid, {3: list(listed)})
-        choices = _choices(table, Packet(1, 1, 3, 0.0, math.inf), 0.0, ledger)
+        choices = _choices(table, 1, 3, ledger)
         assert choices[Policy.DELTIME].contacts == (1, 2)
         assert choices[Policy.HOPS].contacts == (3,)
-    empty = RouteTable(1, n1_table.grid, {3: []})
-    assert forward_or_drop(Packet(1, 1, 3, 0.0), empty, 0.0, ledger, Policy.DELTIME) is None
+    assert book_cohort([], 1, 1, 3, ledger) == []
 
 
 def test_select_route_singleton_agreement(n1_table, ledger):
     for r in n1_table.routes_for(3):
         table = RouteTable(1, n1_table.grid, {3: [r]})
-        choices = _choices(table, Packet(1, 1, 3, 0.0, math.inf), 0.0, ledger)
+        choices = _choices(table, 1, 3, ledger)
         assert choices[Policy.DELTIME] == choices[Policy.HOPS] == r
 
 
@@ -84,17 +88,16 @@ def _route(contacts, delivery, hops):
         contacts=tuple(contacts),
         source=1,
         destination=3,
-        departure_time=0.0,
-        delivery_time=delivery,
         hops=hops,
         expiration=100.0,
         max_volume=10,
+        states=(delivery,),
     )
 
 
 @given(
     st.lists(
-        st.tuples(st.floats(10.0, 90.0), st.integers(1, 5)),
+        st.tuples(st.integers(1, 9), st.integers(1, 5)),
         min_size=1,
         max_size=6,
         unique=True,
@@ -107,83 +110,91 @@ def test_hops_choice_never_uses_more_hops(pairs):
     ]
     table = RouteTable(1, StateGrid(10, 10.0), {3: routes})
     ledger = CapacityLedger({i + 1: 10 for i in range(len(routes))})
-    choices = _choices(table, Packet(1, 1, 3, 0.0), 0.0, ledger)
+    choices = _choices(table, 1, 10, ledger)
     assert choices[Policy.HOPS].hops <= choices[Policy.DELTIME].hops
 
 
 def test_book_capacity_decrements_all_contacts(fig1_plan, n1_table, ledger):
     route = n1_table.routes_for(3)[0]
-    ledger.book(route.contacts, 10)
+    assert ledger.book_up_to(route.contacts, 10) == 10
     assert ledger.residual(1) == 0
     assert ledger.residual(2) == 0
     assert ledger.residual(3) == 10
 
 
 def test_book_zero_is_noop(n1_table, ledger):
-    ledger.book(n1_table.routes_for(3)[0].contacts, 0)
+    assert ledger.book_up_to(n1_table.routes_for(3)[0].contacts, 0) == 0
     assert ledger.residual(1) == 10
 
 
-def test_overbooking_rejected_atomically(fig1_plan, ledger):
-    route = build_route_table(fig1_plan, 2, 0.0, 1, {3}).routes_for(3)[0]
-    with pytest.raises(CapacityError):
-        ledger.book(route.contacts, 11)
-    assert ledger.residual(2) == 10  # untouched after the failed booking
+def test_overbooking_books_only_the_least_residual(fig1_plan, n1_table, ledger):
+    assert ledger.book_up_to((1,), 4) == 4
+    # Contact 1 has 6 left and contact 2 has 10: 6 go on both.
+    assert ledger.book_up_to(n1_table.routes_for(3)[0].contacts, 11) == 6
+    assert (ledger.residual(1), ledger.residual(2)) == (0, 4)
 
 
 def test_booking_requires_all_contacts(fig1_plan, n1_table, ledger):
-    ledger.book((2,), 10)  # someone else drained the relay contact
-    with pytest.raises(CapacityError):
-        ledger.book(n1_table.routes_for(3)[0].contacts, 1)
+    assert ledger.book_up_to((2,), 10) == 10  # someone else drained the relay contact
+    assert ledger.book_up_to(n1_table.routes_for(3)[0].contacts, 1) == 0
     assert ledger.residual(1) == 10
 
 
-def test_forward_or_drop_hops_books_direct_contact(n1_table, ledger):
-    pkt = Packet(1, 1, 3, 0.0, 30.0)
-    route = forward_or_drop(pkt, n1_table, 0.0, ledger, Policy.HOPS)
-    assert route.contacts == (3,)
+def test_book_cohort_hops_books_direct_contact(n1_table, ledger):
+    booked = _book(n1_table, Policy.HOPS, 1, 1, 3, ledger)
+    assert [(route.contacts, n) for route, n in booked] == [((3,), 1)]
     assert ledger.residual(3) == 9
 
 
-def test_forward_or_drop_expired_deadline(n1_table, ledger):
-    pkt = Packet(1, 1, 3, 0.0, 5.0)  # nothing delivers within 5 s
-    assert forward_or_drop(pkt, n1_table, 0.0, ledger, Policy.DELTIME) is None
+def test_book_cohort_drops_what_no_route_delivers_by_its_deadline(n1_table, ledger):
+    # A 5 s ttl from t = 0 has deadline state 0: nothing delivers by then.
+    assert _book(n1_table, Policy.DELTIME, 1, 1, 0, ledger) == []
+    assert [ledger.residual(cid) for cid in (1, 2, 3)] == [10, 10, 10]
 
 
-def test_forward_or_drop_congested_relay(fig1_plan):
+def test_book_cohort_congested_relay(fig1_plan):
     # the relay's own traffic has consumed its delivering contact
     table = build_route_table(fig1_plan, 2, 0.0, 2, {3})
-    ledger = CapacityLedger.for_plan(fig1_plan)
-    for i in range(10):
-        assert forward_or_drop(Packet(i, 2, 3, 0.0, 20.0), table, 0.0, ledger, Policy.DELTIME)
-    late = Packet(99, 1, 3, 0.0, 20.0)
-    assert forward_or_drop(late, table, 10.0, ledger, Policy.DELTIME) is None
+    ledger = CapacityLedger(fig1_plan.volumes)
+    (direct,) = table.routes_for(3)
+    assert _book(table, Policy.DELTIME, 12, 1, 2, ledger) == [(direct, 10)]
+    assert _book(table, Policy.DELTIME, 1, 2, 2, ledger) == []
 
 
 def test_ledger_never_negative(fig1_plan, n1_table):
-    ledger = CapacityLedger.for_plan(fig1_plan)
+    ledger = CapacityLedger(fig1_plan.volumes)
     booked = 0
-    pkt = Packet(1, 1, 3, 0.0, 30.0)
-    while True:
-        route = forward_or_drop(pkt, n1_table, 0.0, ledger, Policy.DELTIME)
-        if route is None:
-            break
+    while _book(n1_table, Policy.DELTIME, 1, 1, 3, ledger):
         booked += 1
     assert booked == 20  # 10 on the two-hop route, then 10 direct
     for cid in (1, 2, 3):
         assert ledger.residual(cid) >= 0
+    # One cohort of 25 books the same 20 and drops 5.
+    cohort = CapacityLedger(fig1_plan.volumes)
+    two_hop, direct = n1_table.routes_for(3)
+    assert _book(n1_table, Policy.DELTIME, 25, 1, 3, cohort) == [(two_hop, 10), (direct, 10)]
+    assert [cohort.residual(cid) for cid in (1, 2, 3)] == [0, 0, 0]
+
+
+def _as_text(t):
+    """t written with 12 significant digits and read back, as a contact
+    plan file may round it."""
+    return float(f"{t:.12g}")
 
 
 @st.composite
 def decisions(draw):
     """A node's route table on a small random plan, a partly drained
-    ledger, and packets to decide on, each with a decision time and policy.
+    ledger, and cohorts to decide on, each with a decision state, size and
+    policy.
 
-    The table is built at t = 0 or at a later state start, and its route
-    lists are shuffled, as a table built by hand may list them in any order.
+    State durations include inexact ones, and contact times are sometimes
+    rounded through text. The table is built at t = 0 or at a later state
+    start, and its route lists are shuffled, as a table built by hand may
+    list them in any order.
     """
     states = draw(st.integers(3, 5))
-    duration = draw(st.sampled_from([10.0, 0.1]))
+    duration = draw(st.sampled_from([10.0, 0.1, 1 / 3, 0.001]))
     grid = StateGrid(states, duration)
     nodes = list(range(1, draw(st.integers(3, 4)) + 1))
     contacts = []
@@ -191,9 +202,10 @@ def decisions(draw):
         a, b = draw(st.permutations(nodes))[:2]
         q1 = draw(st.integers(1, states))
         q2 = draw(st.integers(q1, states))
-        contacts.append(
-            Contact(cid, a, b, grid.state_start(q1), grid.state_end(q2), draw(st.integers(1, 3)))
-        )
+        start, end = grid.state_start(q1), grid.state_end(q2)
+        if draw(st.booleans()):
+            start, end = _as_text(start), _as_text(end)
+        contacts.append(Contact(cid, a, b, start, end, draw(st.integers(1, 3))))
     plan = ContactPlan(grid, [NodeSpec(v) for v in nodes], contacts)
 
     owner = nodes[0]
@@ -207,24 +219,33 @@ def decisions(draw):
         {cid: volume - draw(st.integers(0, volume)) for cid, volume in sorted(plan.volumes.items())}
     )
 
-    packets = []
+    cohorts = []
     for pid in range(1, draw(st.integers(1, 8)) + 1):
         q_gen = draw(st.sampled_from([1, built_at]))
         ttl = draw(st.sampled_from([math.inf, 0.0, 1.0, 1.5, 2.0, 3.0, 4.0])) * duration
         pkt = Packet(pid, owner, draw(st.sampled_from(dests)), grid.state_start(q_gen), ttl)
-        t_now = grid.state_start(draw(st.integers(q_gen, min(q_gen + 1, states))))
-        packets.append((pkt, t_now, draw(st.sampled_from(list(Policy)))))
-    return plan, table, ledger, packets
+        q = draw(st.integers(q_gen, min(q_gen + 1, states)))
+        cohorts.append((pkt, q, draw(st.integers(1, 4)), draw(st.sampled_from(list(Policy)))))
+    return plan, table, ledger, cohorts
 
 
 @given(decisions())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_forwarding_matches_the_filter_then_select_reference(case):
-    plan, table, ledger, packets = case
+    # A cohort of n books what n packets decided one by one by the float
+    # reference book, route for route and ledger for ledger.
+    plan, table, ledger, cohorts = case
+    grid = table.grid
     reference = copy.deepcopy(ledger)
-    for pkt, t_now, policy in packets:
-        route = forward_or_drop(pkt, table, t_now, ledger, policy)
-        assert route == reference_forward_or_drop(pkt, table, t_now, reference, policy)
+    for pkt, q, n, policy in cohorts:
+        deadline = grid.floor_boundary_index(pkt.deadline)
+        booked = book_cohort(policy.order(table.routes_for(pkt.dst)), n, q, deadline, ledger)
+        got = [route for route, m in booked for _ in range(m)]
+        got += [None] * (n - len(got))
+        t_now = grid.state_start(q)
+        assert got == [
+            reference_forward_or_drop(pkt, table, t_now, reference, policy) for _ in range(n)
+        ]
         assert [ledger.residual(cid) for cid in plan.volumes] == [
             reference.residual(cid) for cid in plan.volumes
         ]

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -80,6 +81,23 @@ def test_metrics_rejects_mismatched_demands(fig1_plan, fig1_demands):
     result = run_simulation(fig1_plan, fig1_demands, Policy.HOPS, 2)
     with pytest.raises(ValueError):
         compute_metrics(result, fig1_demands[:1])
+
+
+def test_metrics_take_constant_memory_in_the_packet_count():
+    # One demand of a million packets over one contact: the run moves one
+    # cohort, and the metrics sum its delays without storing one per packet.
+    count = 1_000_000
+    plan = parse_contact_plan(f"plan 2 10\nnode 1 inf\nnode 2 inf\ncontact 1 1 2 0 10 {count}\n")
+    demands = [Demand(1, 2, 0.0, math.inf, count)]
+    result = run_simulation(plan, demands, Policy.HOPS, 1)
+    tracemalloc.start()
+    try:
+        metrics = compute_metrics(result, demands)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (metrics.delivery_ratio, metrics.mean_delay) == (1.0, 10.0)
+    assert peak < 2**20
 
 
 def test_invalid_demand_timestamps(fig1_plan):
