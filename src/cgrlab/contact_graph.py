@@ -33,6 +33,7 @@ and composes each candidate's schedule from its parent's.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 from .contact_plan import ContactPlan, StateGrid
@@ -62,8 +63,6 @@ class Route:
     """
 
     contacts: tuple[int, ...]
-    source: int
-    destination: int
     hops: int
     expiration: float
     max_volume: int
@@ -94,13 +93,10 @@ class RouteTable:
 
 def _route(plan: ContactPlan, ids: tuple[int, ...], states: tuple[int, ...]) -> Route:
     """The Route for a node-connected id chain and its transmission states."""
-    index = _index(plan)
     return Route(
         contacts=ids,
-        source=plan.contact(ids[0]).from_node,
-        destination=index.to_node[ids[-1]],
         hops=len(ids),
-        expiration=min(map(index.end.__getitem__, ids)),
+        expiration=min(map(_index(plan).end.__getitem__, ids)),
         max_volume=min(map(plan.volumes.__getitem__, ids)),
         states=states,
     )
@@ -367,7 +363,11 @@ def build_route_table(
     k_routes: int,
     destinations: set[int],
 ) -> RouteTable:
-    """Compute the owner's k-best route lists toward each destination."""
+    """Compute the owner's k-best route lists toward each destination.
+    Raises ValueError for a non-finite t_now and KeyError for an undeclared
+    node."""
+    if not math.isfinite(t_now):
+        raise ValueError(f"t_now must be a finite number, got {t_now}")
     _require_nodes(_index(plan), owner, *destinations)
     table = RouteTable(owner=owner, grid=plan.grid)
     for dest in sorted(destinations):

@@ -141,12 +141,13 @@ Prog. Comp. 2018). Status and objective do not depend on the start, but
 when several optima tie, a warm solve may return another one, so the
 hops, delay and energy read off it may differ from a cold solve's.
 
-Index maps and solutions are held as arrays in model order: each index
-map is a read-only view of an int key array (one (contact_id, state,
-class) or (timestamp, node, class) row per key, or one class per slack)
-and its column array, and `solve_lp` gathers the optimum into one value
-array per map, into which `_split` writes each merged commodity's
-classes. A dict is built only when a caller reads one key.
+Index maps and solutions are read-only views of arrays in model order:
+each index map of an int key array (one (contact_id, state, class) or
+(timestamp, node, class) row per key, or one class per slack) and its
+column array, and each solver map of the same key array and one value
+array, which `solve_lp` gathers from the optimum and `_split` writes each
+merged commodity's classes into. A dict is built only when a caller reads
+one key. A dict copy of a solution is its editable form.
 
 `verify_solution` independently re-derives every constraint of the
 full, unwindowed, per-class model from the raw plan and commodity data,
@@ -154,10 +155,10 @@ reading missing variables as zero, so a certified solution never depends
 on the solver, the windows, the merge or the split being right. It
 checks whole arrays, not the assembled matrix: it reads the solution's
 key and value arrays, and of the problem only its index maps' keys,
-never the layout's columns or matrices. A solution whose key array is
-the very array behind the problem's index map holds exactly the model's
-keys; any other solution, such as one loaded from JSON or changed in
-place, is compared key by key.
+never the layout's columns or matrices. A solver map, whose key array is
+the very array behind the problem's index map, holds exactly the model's
+keys; any other mapping, such as one loaded from JSON, is compared key by
+key.
 
 The optional soft mode adds one nonnegative drop slack per commodity with
 a large penalty (horizon times arc count), turning infeasible instances
@@ -172,7 +173,7 @@ import io
 import json
 import math
 from bisect import bisect_left
-from collections.abc import ItemsView, Mapping, MutableMapping, ValuesView
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -256,58 +257,39 @@ class Commodity:
         return self.t_gen + self.ttl
 
 
-class _Keyed(MutableMapping):
-    """A dict over a key array and a value array, in model order.
+class _Keyed(Mapping):
+    """A read-only dict over a key array and a value array, in model order.
 
     The keys are the rows of an (n, 3) int64 array, as tuples, or the
-    entries of an (n,) one. Iteration, len, values() and items() read the
-    arrays. The first per-key read (`[]`, `in`, `get`) builds a dict once,
-    and the arrays stay valid. A set or delete goes to that dict and drops
-    the arrays, so every later reader uses the dict, which keeps a dict's
-    order. A read-only map raises TypeError on a set or delete.
+    entries of an (n,) one. Both arrays are frozen. Iteration, len,
+    values() and items() read the arrays; the first per-key read (`[]`,
+    `in`, `get`) builds a dict once. A set or delete raises TypeError.
     """
 
-    __slots__ = ("_keys", "_values", "_dict", "_writable")
+    __slots__ = ("_keys", "_values", "_dict")
 
-    def __init__(self, keys: np.ndarray, values: np.ndarray, writable: bool = True):
+    def __init__(self, keys: np.ndarray, values: np.ndarray):
+        keys.flags.writeable = values.flags.writeable = False
         self._keys, self._values = keys, values
         self._dict: dict | None = None
-        self._writable = writable
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(keys, values), or None once a set or delete dropped them."""
-        return None if self._keys is None else (self._keys, self._values)
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._keys, self._values
 
     def _key_list(self) -> list:
         keys = self._keys.tolist()
         return list(map(tuple, keys)) if self._keys.ndim == 2 else keys
 
-    def _map(self) -> dict:
+    def __getitem__(self, key):
         if self._dict is None:
             self._dict = dict(zip(self._key_list(), self._values.tolist()))
-        return self._dict
-
-    def _writes(self) -> dict:
-        if not self._writable:
-            raise TypeError("an index map is read-only")
-        values = self._map()
-        self._keys = self._values = None
-        return values
-
-    def __getitem__(self, key):
-        return self._map()[key]
-
-    def __setitem__(self, key, value):
-        self._writes()[key] = value
-
-    def __delitem__(self, key):
-        del self._writes()[key]
+        return self._dict[key]
 
     def __len__(self) -> int:
-        return len(self._dict) if self._keys is None else len(self._keys)
+        return len(self._keys)
 
     def __iter__(self):
-        return iter(self._key_list() if self._dict is None else self._dict)
+        return iter(self._key_list())
 
     def values(self) -> ValuesView:
         return _KeyedValues(self)
@@ -316,25 +298,21 @@ class _Keyed(MutableMapping):
         return _KeyedItems(self)
 
     def __repr__(self) -> str:
-        return repr(self._map())
+        return repr(dict(self.items()))
 
 
 class _KeyedValues(ValuesView):
     __slots__ = ()
 
     def __iter__(self):
-        keyed = self._mapping
-        return iter(keyed._dict.values() if keyed._keys is None else keyed._values.tolist())
+        return iter(self._mapping._values.tolist())
 
 
 class _KeyedItems(ItemsView):
     __slots__ = ()
 
     def __iter__(self):
-        keyed = self._mapping
-        if keyed._keys is None:
-            return iter(keyed._dict.items())
-        return zip(keyed._key_list(), keyed._values.tolist())
+        return zip(self._mapping._key_list(), self._mapping._values.tolist())
 
 
 @dataclass(eq=False)
@@ -355,10 +333,10 @@ class LpProblem:
     (see the module docstring). With one class per group, model
     commodities are the classes.
 
-    Each index map is array-backed: an int key array and a column array,
-    in model order. It becomes a dict on its first key read, and it is
-    read-only. Any mapping keyed the same way may stand in for it (the
-    tests widen the maps with `dataclasses.replace`).
+    Each index map is a read-only view of an int key array and a column
+    array, in model order, that builds a dict on its first key read. Any
+    mapping keyed the same way may stand in for it (the tests widen the
+    maps with `dataclasses.replace`).
 
     The index maps, objective and matrices are shared, read-only, by every
     problem built on the same plan with the same weights, soft flag and
@@ -440,18 +418,18 @@ class LpProblem:
 class LpSolution:
     """Solver output: variable values keyed like the problem's index maps.
 
-    `solve_lp` fills the three maps array-backed: the layout's key arrays
-    and fresh value arrays, in model order. A map becomes a dict on its
-    first key read, and a set or delete drops its arrays, so every reader
-    sees the change. Any other mutable mapping, such as the dicts
-    `solution_from_json` builds, works the same.
+    `solve_lp` fills the three maps as read-only views of the layout's key
+    arrays and fresh value arrays, in model order. Any other mapping keyed
+    the same way works the same; a dict copy, such as `solution_from_json`
+    builds or `dataclasses.replace(s, x_flows=dict(s.x_flows))` makes, is
+    the editable form.
     """
 
     status: str  # "optimal" | "infeasible"
     objective: float | None
-    x_flows: MutableMapping[tuple[int, int, int], float] = field(default_factory=dict)
-    buffers: MutableMapping[tuple[int, int, int], float] = field(default_factory=dict)
-    slacks: MutableMapping[int, float] = field(default_factory=dict)
+    x_flows: Mapping[tuple[int, int, int], float] = field(default_factory=dict)
+    buffers: Mapping[tuple[int, int, int], float] = field(default_factory=dict)
+    slacks: Mapping[int, float] = field(default_factory=dict)
 
     def total_flow(self) -> float:
         return sum(self.x_flows.values())
@@ -550,9 +528,9 @@ class _Merge:
     dst: int
     # state -> (column, from, to) of each flow column, in arc order
     arcs: Mapping[int, tuple[tuple[int, int, int], ...]]
-    x_pos: np.ndarray  # the classes' flow keys, as positions in the layout's x_keys
+    x_pos: np.ndarray  # the classes' flow keys, as positions in x_index's key array
     x_cells: np.ndarray  # column * len(classes) + class position of each flow key
-    b_pos: np.ndarray  # the classes' buffer keys, as positions in the layout's b_keys
+    b_pos: np.ndarray  # the classes' buffer keys, as positions in b_index's key array
     b_cells: np.ndarray  # ((t - gens[0]) * nodes + node) * len(classes) + class position
 
 
@@ -570,15 +548,9 @@ class _Layout:
 
     groups: tuple[tuple[int, ...], ...]
     group_of: np.ndarray  # the model commodity of each class
-    # Each index map's keys, in model order, and their columns: flows by
-    # (contact_id, state, class) rows, buffers by (timestamp, node, class)
-    # rows, slacks by class. The read-only index maps are views of them.
-    x_keys: np.ndarray
-    x_cols: np.ndarray
-    b_keys: np.ndarray
-    b_cols: np.ndarray
-    s_keys: np.ndarray
-    s_cols: np.ndarray
+    # Each index map holds its keys, in model order, and their columns:
+    # flows by (contact_id, state, class) rows, buffers by (timestamp, node,
+    # class) rows, slacks by class.
     x_index: _Keyed
     b_index: _Keyed
     slack_index: _Keyed
@@ -856,15 +828,9 @@ def _build_layout(
     layout = _Layout(
         groups=groups,
         group_of=group_of,
-        x_keys=x_keys,
-        x_cols=x_at,
-        b_keys=b_keys,
-        b_cols=b_at,
-        s_keys=s_keys,
-        s_cols=s_at,
-        x_index=_Keyed(x_keys, x_at, writable=False),
-        b_index=_Keyed(b_keys, b_at, writable=False),
-        slack_index=_Keyed(s_keys, s_at, writable=False),
+        x_index=_Keyed(x_keys, x_at),
+        b_index=_Keyed(b_keys, b_at),
+        slack_index=_Keyed(s_keys, s_at),
         objective=objective,
         n_ub=n_ub,
         n_eq=n_eq,
@@ -882,8 +848,7 @@ def _build_layout(
         b_ub=np.concatenate(ub_rhs),
         merges=tuple(merges),
     )
-    for array in (layout.group_of, layout.x_keys, layout.x_cols, layout.b_keys, layout.b_cols,
-                  layout.s_keys, layout.s_cols, layout.objective, layout.start, layout.index,
+    for array in (layout.group_of, layout.objective, layout.start, layout.index,
                   layout.value, layout.row_lower, layout.col_upper, layout.integrality,
                   layout.supply_rows, layout.bounded, layout.bound_cols, layout.fin_rows,
                   layout.ddl_groups, layout.b_ub,
@@ -1011,17 +976,17 @@ def solve_lp(problem: LpProblem, session: LpSession | None = None) -> LpSolution
             f"solver reported an optimum outside the bounds by more than {_ACCEPT_TOL:.2e}"
         )
     layout = problem._layout
-    flows, buffers, slacks = values[layout.x_cols], values[layout.b_cols], values[layout.s_cols]
+    keys, cols = zip(*(index.arrays() for index in (layout.x_index, layout.b_index,
+                                                    layout.slack_index)))
+    flows, buffers, slacks = (values[c] for c in cols)
     for merge in layout.merges:
         _split(problem, merge, x, flows, buffers, slacks)
-    for array in (flows, buffers, slacks):
-        array.flags.writeable = False
     return LpSolution(
         status="optimal",
         objective=solver.getInfo().objective_function_value,
-        x_flows=_Keyed(layout.x_keys, flows),
-        buffers=_Keyed(layout.b_keys, buffers),
-        slacks=_Keyed(layout.s_keys, slacks),
+        x_flows=_Keyed(keys[0], flows),
+        buffers=_Keyed(keys[1], buffers),
+        slacks=_Keyed(keys[2], slacks),
     )
 
 
@@ -1090,20 +1055,20 @@ def _split(
     x_flows[merge.x_pos] = flows[merge.x_cells]
     buffers[merge.b_pos] = np.ravel(held)[merge.b_cells]
     if problem.soft:
-        # A slack's position in the layout's s_keys is its class.
+        # A slack's position in slack_index's key array is its class.
         for c, k in enumerate(merge.classes):
             slacks[k] = coms[k].amount - stock[merge.dst][c]
 
 
 def _arrays(values: Mapping) -> tuple[np.ndarray, np.ndarray] | None:
-    """The arrays behind an array-backed map no one has changed, else None."""
+    """The key and value arrays behind a solver or index map, else None."""
     return values.arrays() if isinstance(values, _Keyed) else None
 
 
 def _key_value_arrays(values: Mapping, width: int) -> tuple[np.ndarray, np.ndarray]:
     """(keys, values) of a solution map, in its order: an (n, width) key
     array for tuple keys, or an (n,) one for width 1. They are the arrays
-    behind an unchanged solver map, or else read from the mapping."""
+    behind a solver map, or else read from the mapping."""
     arrays = _arrays(values)
     if arrays is not None:
         return arrays
@@ -1117,7 +1082,7 @@ def _key_value_arrays(values: Mapping, width: int) -> tuple[np.ndarray, np.ndarr
 def _keys_within(values: Mapping, index: Mapping) -> bool:
     """Whether every key of a solution map is a key of the index map. A
     solver map whose key array is the index map's own holds exactly its
-    keys; any other map is compared key by key."""
+    keys; any other mapping is compared key by key."""
     mine, theirs = _arrays(values), _arrays(index)
     if mine is not None and theirs is not None and mine[0] is theirs[0]:
         return True

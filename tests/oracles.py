@@ -405,8 +405,6 @@ def route_attributes(plan: ContactPlan, contacts: list[int], t_now: float = 0.0)
         states.append(avail)
     return Route(
         contacts=ids,
-        source=chain[0].from_node,
-        destination=chain[-1].to_node,
         hops=len(ids),
         expiration=min(c.end for c in chain),
         max_volume=min(plan.volumes[cid] for cid in ids),

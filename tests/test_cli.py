@@ -1,8 +1,11 @@
+import hashlib
 import json
+import math
 
 import pytest
 
 from cgrlab.cli import main
+from cgrlab.contact_plan import StateGrid
 from cgrlab.simulator import Demand, demands_to_json
 
 from conftest import THREE_NODE_PLAN
@@ -110,6 +113,14 @@ def test_routes_dump(plan_file, capsys):
     lines = out.strip().split("\n")
     assert lines[0].startswith("route_id,")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("t_now", [["--t-now", "nan"], ["--t-now", "inf"], ["--t-now=-inf"]])
+def test_routes_rejects_a_non_finite_t_now(plan_file, capsys, t_now):
+    code, out, err = run_cli(capsys, "routes", "--plan", plan_file, "--owner", "1", *t_now)
+    assert code == 1
+    assert out == ""
+    assert "error: t_now must be a finite number" in err
 
 
 def test_sim_hops_metrics(plan_file, demands_file, capsys, tmp_path):
@@ -383,3 +394,79 @@ def test_a_demand_field_of_the_wrong_type_is_rejected(
         )
         assert (code, out) == (1, "")
         assert err == f"error: demand 0 is malformed: {field} must be {shown}\n"
+
+
+# SHA-256 of every replayed output that does not depend on the LP solver,
+# on one plan with 10 s states and one with 0.1 s states, with route tables
+# at t = 0 and in the middle of state 3. The LP objective,
+# metrics, flows and saved solution are left out: another HiGHS build may
+# pick another optimum among ties.
+PINNED_OUTPUTS = {
+    10.0: {
+        "gen": "92d7cd53c90246759283e0f632ecbda2b59bd4e9dee616fb2c920890a0e234fb",
+        "routes --t-now 0": "694c039f431133134bb4dc1cb423b30f45e0f28dd94f9a4a557bf37f255a2634",
+        "routes --t-now 25": "b9f9f617fc853663a8ab448ec6a720198331b46b86a22784dea06bbd8ed1f85f",
+        "sim deltime": "3d2c2db2169480bcea2280c44faab75f18313f4644aa044a6f24442fa93526a2",
+        "sim deltime --packets-csv": "b5ee88c6ea06a85a1778b428daa2dc43f62527f6e89a534c7d71e56088470bb1",
+        "sim hops": "e7d6394cdc2038b6b5d1ecccad1f99248e2211c6a14eefb6bc41ad9fa328117c",
+        "sim hops --packets-csv": "9709f45f6d06dcf716406baf217ebba8dd87c431c08a633e156acbe33ecce29b",
+        "lp --export-lp": "06cf8f2bdd4c21b4d66ae835bcac55b7cff8431af854a48ae0cd6392eb8e699b",
+        "lp --soft --export-lp": "cac753855331d437fc3e876b2cc3f8782eeb541cf1804a8b6cf52eee06b613be",
+    },
+    0.1: {
+        "gen": "c889a8d0f533ca09770483f6e6a449efe4b55f05d93612bf18ed2f2fe8499f31",
+        "routes --t-now 0": "460d41d6efd9980e97884aa1473e697415a5c2ba0edd68fb1cf4e46e7b7cd07e",
+        "routes --t-now 0.25": "860c8bff656ce19abeb7381c78faf0c19815dfa6a5d00bd6b14dd50c8cb9f1e5",
+        "sim deltime": "0cdd72abf0914e9ae9fdea4798311463527066a8582b89b45dde326552080b60",
+        "sim deltime --packets-csv": "aab75196086c4842498802bf62fed5c1d09490e3f887ff59f4a1d9859ce5e12a",
+        "sim hops": "6ce2b51686a6bfbfa9a259feab482c24e030a0bfcb13fa2f2cceb3d7b776a4d1",
+        "sim hops --packets-csv": "1f7bbb516bab367c466cb597c18d147c353abb1bb716eb7a83a060d40ecca0a5",
+        "lp --export-lp": "06cf8f2bdd4c21b4d66ae835bcac55b7cff8431af854a48ae0cd6392eb8e699b",
+        "lp --soft --export-lp": "527ffebf93c88e21874bb5bd82cbd27fdfd218f19e3886285d1c0f0239b4a5dc",
+    },
+}
+
+
+def _replayed_outputs(tmp_path, capsys, dur: float, t_later: str) -> dict[str, str]:
+    """Digest of each command's stdout or written file, by command."""
+    digests = {}
+
+    def digest(name: str, text: str) -> None:
+        digests[name] = hashlib.sha256(text.encode()).hexdigest()
+
+    code, plan_text, _ = run_cli(capsys, "gen", "--nodes", 8, "--states", 6, "--dur", dur,
+                                 "--density", 0.4, "--capacity", 3, "--seed", 7)
+    assert code == 0
+    digest("gen", plan_text)
+    plan = tmp_path / "plan.cp"
+    plan.write_text(plan_text)
+    grid = StateGrid(6, dur)
+    demands = tmp_path / "demands.json"
+    demands.write_text(demands_to_json([
+        Demand(src, 8, grid.state_start(q), math.inf if src <= 2 else 2 * dur, 3)
+        for q in range(1, 7)
+        for src in range(1, 5)
+    ]))
+    for t_now in ("0", t_later):
+        code, out, _ = run_cli(capsys, "routes", "--plan", plan, "--owner", 1, "-k", 4,
+                               "--t-now", t_now)
+        assert code == 0
+        digest(f"routes --t-now {t_now}", out)
+    for policy in ("deltime", "hops"):
+        packets = tmp_path / f"{policy}.csv"
+        code, out, _ = run_cli(capsys, "sim", "--plan", plan, "--demands", demands,
+                               "--policy", policy, "--packets-csv", packets)
+        assert code == 0
+        digest(f"sim {policy}", out)
+        digest(f"sim {policy} --packets-csv", packets.read_text())
+    for flags in ((), ("--soft",)):
+        export = tmp_path / "model.lp"
+        # The export is written before the solve, whatever its outcome.
+        run_cli(capsys, "lp", "--plan", plan, "--demands", demands, *flags, "--export-lp", export)
+        digest(" ".join(("lp", *flags, "--export-lp")), export.read_text())
+    return digests
+
+
+@pytest.mark.parametrize("dur, t_later", [(10.0, "25"), (0.1, "0.25")])
+def test_replayed_outputs_are_pinned(tmp_path, capsys, dur, t_later):
+    assert _replayed_outputs(tmp_path, capsys, dur, t_later) == PINNED_OUTPUTS[dur]

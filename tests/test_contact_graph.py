@@ -35,7 +35,8 @@ def test_route_attributes_two_hop(fig1_plan):
     assert r.expiration == 10.0  # dies when its first contact ends
     assert r.max_volume == 10
     assert fig1_plan.grid.state_start(r.states[0]) == 0.0
-    assert (r.source, r.destination) == (1, 3)
+    assert (fig1_plan.contact(r.contacts[0]).from_node,
+            fig1_plan.contact(r.contacts[-1]).to_node) == (1, 3)
     assert r == earliest_delivery_route(fig1_plan, 1, 3, 0.0)
 
 

@@ -86,8 +86,6 @@ def test_select_route_singleton_agreement(n1_table, ledger):
 def _route(contacts, delivery, hops):
     return Route(
         contacts=tuple(contacts),
-        source=1,
-        destination=3,
         hops=hops,
         expiration=100.0,
         max_volume=10,

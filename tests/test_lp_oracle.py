@@ -289,9 +289,11 @@ def test_each_constraint_family_reports_its_violations(fig1_demands, family, kin
     )
     solution = solve_lp(problem)
     assert verify_solution(problem, solution, TOL) == []
-    values = {"x": solution.x_flows, "b": solution.buffers, "s": solution.slacks}[kind]
+    name = {"x": "x_flows", "b": "buffers", "s": "slacks"}[kind]
+    values = dict(getattr(solution, name))
     values[key] += delta
-    assert family in {v.constraint for v in verify_solution(problem, solution, TOL)}
+    mutated = dataclasses.replace(solution, **{name: values})
+    assert family in {v.constraint for v in verify_solution(problem, mutated, TOL)}
 
 
 def test_structural_violations_are_reported(fig1_plan):
@@ -1082,8 +1084,8 @@ def test_a_layout_is_reused_only_for_the_same_weights_soft_flag_and_classes(chan
     )
 
 
-# Array-backed maps: `solve_lp` fills the solution maps from arrays, and the
-# index maps are views of the layout's key and column arrays.
+# Read-only array-backed maps: `solve_lp` fills the solution maps from
+# arrays, and the index maps are views of the layout's key and column arrays.
 
 
 @pytest.mark.parametrize("injection, soft", [("burst", False), ("per-state", True)])
@@ -1108,14 +1110,19 @@ def test_solver_maps_read_and_compare_like_dicts(injection, soft):
 
 
 @pytest.mark.parametrize("kind", ["x", "b", "s", "del"])
-def test_a_change_to_a_solver_solution_reaches_every_reader(fig1_demands, kind):
+def test_a_change_to_a_copy_of_a_solver_solution_reaches_every_reader(fig1_demands, kind):
+    # Solver maps are read-only; a dict copy of them is the editable form.
     plan = _buffered_three_node_plan()
     commodities = demands_to_commodities(fig1_demands)
     problem = build_lp(plan, commodities, soft=kind == "s")
-    solution = solve_lp(problem)
-    metrics = lp_metrics(plan, commodities, solution)
-    total = solution.total_flow()
-    assert verify_solution(problem, solution, TOL) == []
+    solved = solve_lp(problem)
+    metrics = lp_metrics(plan, commodities, solved)
+    total = solved.total_flow()
+    assert verify_solution(problem, solved, TOL) == []
+    solution = dataclasses.replace(
+        solved, x_flows=dict(solved.x_flows), buffers=dict(solved.buffers),
+        slacks=dict(solved.slacks),
+    )
     if kind == "x":
         solution.x_flows[(2, 2, 1)] += 1.0
     elif kind == "b":
@@ -1147,21 +1154,24 @@ def test_a_change_to_a_solver_solution_reaches_every_reader(fig1_demands, kind):
 
 
 def test_index_maps_are_shared_by_a_layout_and_read_only():
+    # The solver maps of a solve are read-only too.
     plan, _ = _study_inputs(3, 1, "per-state")
     first, second = (
         build_lp(plan, _study_inputs(3, load, "per-state")[1], soft=True) for load in (1, 4)
     )
+    solution = solve_lp(second)
     for name in ("x_index", "b_index", "slack_index"):
-        index = getattr(first, name)
-        assert getattr(second, name) is index
-        key = next(iter(index))
-        column = index[key]
+        assert getattr(second, name) is getattr(first, name)
+    for values in (first.x_index, first.b_index, first.slack_index,
+                   solution.x_flows, solution.buffers, solution.slacks):
+        key = next(iter(values))
+        value = values[key]
         with pytest.raises(TypeError):
-            index[key] = column + 1
+            values[key] = value + 1
         with pytest.raises(TypeError):
-            del index[key]
-        assert index[key] == column and len(index) == len(getattr(second, name))
-    assert verify_solution(second, solve_lp(second), TOL) == []
+            del values[key]
+        assert values[key] == value
+    assert verify_solution(second, solution, TOL) == []
 
 
 @given(seed=st.integers(0, 2**32 - 1), per_state=st.booleans())
@@ -1172,7 +1182,7 @@ def test_lp_metrics_matches_the_reference_loop_exactly(seed, per_state):
     # deadline or one ttl, so the no-deadline classes of a per-state plan
     # merge; sometimes a class to another node joins. Each metric must
     # equal the loop's bit for bit on the solver's solution, on its JSON
-    # copy, and on a solver solution changed in place after a key read.
+    # copy, and on an edited dict copy of it.
     rng = random.Random(seed)
     plan = random_small_plan(rng, max_contacts=24)
     grid = plan.grid
@@ -1195,7 +1205,7 @@ def test_lp_metrics_matches_the_reference_loop_exactly(seed, per_state):
     if solution.status != "optimal":
         return
     event(f"merged group: {any(len(group) > 1 for group in problem.groups)}")
-    changed = solve_lp(problem)
+    changed = dataclasses.replace(solution, x_flows=dict(solution.x_flows))
     if changed.x_flows:
         key = rng.choice(list(changed.x_flows))
         changed.x_flows[key] = changed.x_flows[key] + rng.choice([0.5, -0.25, 2.0])
