@@ -239,7 +239,12 @@ def earliest_delivery_route(
     its shortcut, the walk with the loop cut out, which delivers no later
     in fewer hops and avoids whatever the walk avoids; so the answer is
     loop-free (Yen 1971; Fraire, De Jonckere & Burleigh 2021).
+
+    Raises ValueError for a non-finite t_now, so k_best_routes and
+    build_route_table, which search through here, reject one too.
     """
+    if not math.isfinite(t_now):
+        raise ValueError(f"t_now must be a finite number, got {t_now}")
     index = _index(plan)
     _require_nodes(index, source, dest)
     if source == dest:
@@ -364,10 +369,7 @@ def build_route_table(
     destinations: set[int],
 ) -> RouteTable:
     """Compute the owner's k-best route lists toward each destination.
-    Raises ValueError for a non-finite t_now and KeyError for an undeclared
-    node."""
-    if not math.isfinite(t_now):
-        raise ValueError(f"t_now must be a finite number, got {t_now}")
+    Raises KeyError for an undeclared node."""
     _require_nodes(_index(plan), owner, *destinations)
     table = RouteTable(owner=owner, grid=plan.grid)
     for dest in sorted(destinations):

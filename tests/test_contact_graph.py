@@ -114,6 +114,17 @@ def test_earliest_route_unknown_node(fig1_plan):
         earliest_delivery_route(fig1_plan, 1, 99, 0.0)
 
 
+@pytest.mark.parametrize("t_now", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("search", [
+    lambda plan, t: earliest_delivery_route(plan, 1, 3, t),
+    lambda plan, t: k_best_routes(plan, 1, 3, t, 2),
+    lambda plan, t: build_route_table(plan, 1, t, 2, {2, 3}),
+], ids=["earliest", "k_best", "table"])
+def test_every_route_search_rejects_a_non_finite_t_now(fig1_plan, search, t_now):
+    with pytest.raises(ValueError, match="t_now must be a finite number"):
+        search(fig1_plan, t_now)
+
+
 def test_earliest_route_respects_suppressions(fig1_plan):
     r = earliest_delivery_route(fig1_plan, 1, 3, 0.0, suppressed_contacts={1})
     assert r.contacts == (3,)
