@@ -8,6 +8,7 @@ seed 1..N, and the study's burst traffic at its top load: nodes 1-5 send
 deadline, all to the highest-numbered node. On each plan it times, in
 this order:
 
+* `generate_random_topology`, which draws the plan;
 * `parse_contact_plan` on the plan's serialized text; the parsed plan is
   the one the later layers use, so its caches start empty;
 * `build_route_tables`: every node's k = 4 routes toward the destination,
@@ -19,7 +20,7 @@ this order:
 * `verify_solution` on the hard optimum, when the model has one; an
   optimum that does not certify stops the script with an error.
 
-Plan generation and serialization are not timed. Prints one line per size
+Serialization is not timed. Prints one line per size
 with the median wall time per plan of each layer, in seconds; the verify
 median is over the plans with a hard optimum, and reads nan when no plan
 has one (`optimal` counts them).
@@ -79,7 +80,7 @@ def main() -> int:
     if args.seeds < 1:
         parser.error("--seeds must be >= 1")
 
-    layers = ("parse_s", "tables_s", "deltime_s", "hops_s", "build_lp_s", "solve_lp_s", "verify_s")
+    layers = ("generate_s", "parse_s", "tables_s", "deltime_s", "hops_s", "build_lp_s", "solve_lp_s", "verify_s")
     print(",".join(("size", "contacts_median", "optimal",
                     *(f"{name}_median" for name in layers))))
     for nodes, states in args.sizes:
@@ -89,12 +90,12 @@ def main() -> int:
         commodities = demands_to_commodities(demands)
         contacts, times = [], {name: [] for name in layers}
         for seed in range(1, args.seeds + 1):
-            text = serialize_contact_plan(generate_random_topology(
-                TopologyConfig(nodes, 0.2, 10, StateGrid(states, 10.0), seed)
-            ))
-            plan, elapsed = timed(parse_contact_plan, text)
+            drawn, elapsed = timed(generate_random_topology,
+                                   TopologyConfig(nodes, 0.2, 10, StateGrid(states, 10.0), seed))
+            times["generate_s"].append(elapsed)
+            plan, elapsed = timed(parse_contact_plan, serialize_contact_plan(drawn))
             times["parse_s"].append(elapsed)
-            contacts.append(len(plan.contacts))
+            contacts.append(len(plan.columns.contact_id))
             tables, elapsed = timed(build_route_tables, plan, 4, {nodes})
             times["tables_s"].append(elapsed)
             run_simulation(plan, demands, Policy.DELTIME, 4, tables)

@@ -29,6 +29,7 @@ from .forwarding import Policy
 from .lp_oracle import (
     LpSolverError,
     build_lp,
+    check_tol,
     demands_to_commodities,
     lp_metrics,
     problem_to_lp_text,
@@ -219,6 +220,7 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_lp(args) -> int:
+    check_tol(args.tol)
     plan = parse_contact_plan(args.plan.read_text())
     demands = demands_from_json(args.demands.read_text())
     commodities = demands_to_commodities(demands)
@@ -256,6 +258,7 @@ def _cmd_lp(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    check_tol(args.tol)
     plan = parse_contact_plan(args.plan.read_text())
     demands = demands_from_json(args.demands.read_text())
     commodities = demands_to_commodities(demands)

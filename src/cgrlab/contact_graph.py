@@ -107,8 +107,9 @@ _Completion = tuple[int, int, tuple[int, ...], tuple[int, ...]]
 
 
 class _RouteIndex:
-    """A plan's contacts as route search reads them, and its completion
-    tables by destination. Kept on the plan (`ContactPlan._routing`).
+    """A plan's contacts as route search reads them, read once from the
+    plan's columns, and its completion tables by destination. Kept on the
+    plan (`ContactPlan._routing`).
 
     nodes is the set of declared node ids; to_node and end give each
     contact's receiving node and end time by id. out[v] lists (first, last,
@@ -127,12 +128,12 @@ class _RouteIndex:
         self.starting: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
         self.covering: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
         self.tables: dict[int, list[dict[int, _Completion]]] = {}
-        windows = plan.windows
-        for c in plan.contacts:
-            cid, v, w = c.contact_id, c.from_node, c.to_node
-            first, last = windows[cid]
+        cols = plan.columns
+        for cid, v, w, end, first, last in zip(*(column.tolist() for column in (
+            cols.contact_id, cols.from_node, cols.to_node, cols.end, cols.first, cols.last
+        ))):
             self.to_node[cid] = w
-            self.end[cid] = c.end
+            self.end[cid] = end
             if first > last:
                 continue
             self.out.setdefault(v, []).append((first, last, cid, w))

@@ -197,6 +197,7 @@ __all__ = [
     "demands_to_commodities",
     "build_lp",
     "solve_lp",
+    "check_tol",
     "verify_solution",
     "lp_metrics",
     "problem_to_lp_text",
@@ -662,16 +663,19 @@ def _build_layout(
     grid = plan.grid
     f = grid.state_count
     known = plan.node_ids
-    for c in plan.contacts:
-        if c.from_node not in known or c.to_node not in known:
-            raise ValueError(f"contact {c.contact_id} references an undeclared node")
+    node_ids = sorted(known)
+    node_arr = np.array(node_ids, dtype=np.int64)
+    cols = plan.columns
+    if not known.issuperset(np.unique(np.concatenate((cols.from_node, cols.to_node))).tolist()):
+        cid = next(cid for cid, v, w in zip(*(a.tolist() for a in cols[:3]))
+                   if v not in known or w not in known)
+        raise ValueError(f"contact {cid} references an undeclared node")
     gen_idx = []
     for com in coms:
         if com.dst not in known or any(v not in known for v, _ in com.supply):
             raise ValueError(f"commodity references unknown node: {com}")
         gen_idx.append(_generation_index(plan, com))
 
-    node_ids = sorted(known)
     n_nodes, n_coms = len(node_ids), len(coms)
     pos = {v: i for i, v in enumerate(node_ids)}
     arcs = plan.arcs
@@ -686,10 +690,9 @@ def _build_layout(
         group_of[list(ks)] = m
     cls_gen = np.array(gen_idx, dtype=np.int64)
 
-    arc_state = np.array([a.state for a in arcs], dtype=np.int64)
-    arc_from = np.array([pos[a.from_node] for a in arcs], dtype=np.int64)
-    arc_to = np.array([pos[a.to_node] for a in arcs], dtype=np.int64)
-    arc_cid = np.array([a.contact_id for a in arcs], dtype=np.int64)
+    arc_state, arc_cid = arcs.state, arcs.contact_id
+    arc_from = np.searchsorted(node_arr, arcs.from_node)
+    arc_to = np.searchsorted(node_arr, arcs.to_node)
     gen = np.array([min(gen_idx[k] for k in ks) for ks in groups], dtype=np.int64)
     dst = np.array([pos[coms[ks[0]].dst] for ks in groups], dtype=np.int64)
 
@@ -721,7 +724,7 @@ def _build_layout(
     b_cols = np.take_along_axis(b_cols, np.minimum(stamps, last)[:, None, :], axis=0)
     n_vars = s_base + (n_grp if soft else 0)
 
-    big_m = grid.horizon * max(1, len(arcs))
+    big_m = grid.horizon * max(1, len(arc_state))
     objective = np.zeros(n_vars)
     objective[:n_x] = np.asarray(ws)[x_state - 1]
     objective[s_base:] = big_m
@@ -773,7 +776,7 @@ def _build_layout(
     capped = sends.any(axis=1)
     arccap_row = n_ub + np.cumsum(capped) - 1
     ub.append((arccap_row[x_arc], np.arange(n_x), 1.0))
-    ub_rhs.append(np.array([float(a.capacity) for a in arcs], dtype=np.float64)[capped])
+    ub_rhs.append(arcs.capacity[capped].astype(np.float64))
     n_ub += int(capped.sum())
 
     if coms:
@@ -1089,6 +1092,14 @@ def _keys_within(values: Mapping, index: Mapping) -> bool:
     return values.keys() <= index.keys()
 
 
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless tol is a finite number >= 0: every check
+    of `verify_solution` is `residual > tol`, which a NaN or infinite tol
+    never fails and a negative one fails on exact values."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+
+
 def verify_solution(
     problem: LpProblem, solution: LpSolution, tol: float = 1e-6
 ) -> list[Violation]:
@@ -1115,9 +1126,11 @@ def verify_solution(
     solution. A solution holding a NaN or infinite value gets one
     "finite" violation per such value instead, and nothing else: every
     check is a comparison, and a comparison with NaN is false. Raises
-    ValueError on status or shape mismatches (unknown variable keys, or
-    flows on a contact in a state it does not cover).
+    ValueError for a tol that is not a finite number >= 0 (`check_tol`),
+    and on status or shape mismatches (unknown variable keys, or flows on
+    a contact in a state it does not cover).
     """
+    check_tol(tol)
     if solution.status != "optimal":
         raise ValueError("only optimal solutions can be verified")
     X, B, S = solution.x_flows, solution.buffers, solution.slacks
@@ -1155,12 +1168,11 @@ def verify_solution(
             inject[k, gens[k], pos[v]] = supplied
 
     arcs = plan.arcs
-    arc_cid, arc_state, arc_from, arc_to, _ = np.fromiter(
-        chain.from_iterable(arcs), dtype=np.int64, count=5 * len(arcs)
-    ).reshape(-1, 5).T
-    arc_cap = np.array([a.capacity for a in arcs], dtype=np.float64)
+    arc_cid, arc_state = arcs.contact_id, arcs.state
+    arc_cap = arcs.capacity.astype(np.float64)
     node_arr = np.array(node_ids, dtype=np.int64)
-    arc_from, arc_to = np.searchsorted(node_arr, arc_from), np.searchsorted(node_arr, arc_to)
+    arc_from = np.searchsorted(node_arr, arcs.from_node)
+    arc_to = np.searchsorted(node_arr, arcs.to_node)
 
     # Each flow's arc, found by (state, contact rank) in the arcs' own
     # (state, contact id) order.
@@ -1169,8 +1181,8 @@ def verify_solution(
     rank = np.minimum(np.searchsorted(cids, x_cid), max(len(cids) - 1, 0))
     arc_key = arc_state * len(cids) + np.searchsorted(cids, arc_cid)
     x_key = x_state * len(cids) + rank
-    arc = np.minimum(np.searchsorted(arc_key, x_key), max(len(arcs) - 1, 0))
-    found = (cids[rank] == x_cid) & (arc_key[arc] == x_key) if len(arcs) else np.zeros(len(X), bool)
+    arc = np.minimum(np.searchsorted(arc_key, x_key), max(len(arc_key) - 1, 0))
+    found = (cids[rank] == x_cid) & (arc_key[arc] == x_key) if len(arc_key) else np.zeros(len(X), bool)
     if not found.all():
         cid, q, _ = list(X)[np.flatnonzero(~found)[0]]
         raise ValueError(f"solution shape mismatch: contact {cid} has no arc in state {q}")
@@ -1246,11 +1258,11 @@ def verify_solution(
             node = coms[k].dst if problem.soft else node_ids[v]
             out.append(Violation("fin", f"node {node} k{k}", float(fin[k, v])))
 
-    load = np.zeros(len(arcs))
+    load = np.zeros(len(arc_key))
     np.add.at(load, arc, x_val)
     for i in np.flatnonzero(load > arc_cap + tol).tolist():
         out.append(Violation(
-            "arccap", f"contact {arcs[i].contact_id} state {arcs[i].state}", float(load[i] - arc_cap[i])
+            "arccap", f"contact {arc_cid[i]} state {arc_state[i]}", float(load[i] - arc_cap[i])
         ))
 
     for spec in plan.nodes:
@@ -1277,22 +1289,24 @@ def _on_time_arrivals(
     the deadline. Added in this order, the terms give that sum bit for
     bit: a zero or missing flow adds nothing.
     """
-    dsts = {com.dst for com in commodities}
-    into = [c for c in plan.contacts if c.to_node in dsts]
-    if not into:
+    cols = plan.columns
+    dst = np.array([com.dst for com in commodities], dtype=np.int64)
+    dsts = np.unique(dst)
+    into = np.flatnonzero(
+        dsts[np.minimum(np.searchsorted(dsts, cols.to_node), len(dsts) - 1)] == cols.to_node
+    )
+    if not len(into):
         return np.zeros(0, dtype=np.int64)
-    ids = np.array([c.contact_id for c in into], dtype=np.int64)
+    ids = cols.contact_id[into]
     order = np.argsort(ids)
     x_cid, x_state, x_com = keys.T
     rank = order[np.minimum(np.searchsorted(ids, x_cid, sorter=order), len(into) - 1)]
-    windows = [plan.windows[c.contact_id] for c in into]
-    to = np.array([c.to_node for c in into], dtype=np.int64)[rank]
-    first = np.array([w.first for w in windows], dtype=np.int64)[rank]
-    last = np.array([w.last for w in windows], dtype=np.int64)[rank]
+    to = cols.to_node[into][rank]
+    first = cols.first[into][rank]
+    last = cols.last[into][rank]
     f = plan.grid.state_count
     deadlines = [_deadline_index(plan, com) for com in commodities]
     dl = np.array([f if d is None else d for d in deadlines], dtype=np.int64)
-    dst = np.array([com.dst for com in commodities], dtype=np.int64)
     k = np.clip(x_com, 0, len(commodities) - 1)
     counted = (
         (ids[rank] == x_cid) & (k == x_com) & (to == dst[k])

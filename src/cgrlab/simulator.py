@@ -204,7 +204,7 @@ def run_simulation(
     for d, idx in zip(demands, gen_index):
         injections.setdefault(idx + 1, []).append(d)
 
-    windows, ranks, contact = plan.windows, plan.ranks, plan.contact
+    windows, ranks, links = plan.windows, plan.ranks, plan.links
     ledgers = {v.node_id: CapacityLedger(plan.volumes) for v in plan.nodes}
     # Each node's routes to each destination, in the policy's order.
     orders = {(v, dst): policy.order(table.routes_for(dst))
@@ -229,7 +229,7 @@ def run_simulation(
         # each node's in contact-id order.
         for cid in sorted(cid for cid in queues if windows[cid].last < q):
             del queued[cid]
-            inbox.setdefault(contact(cid).from_node, []).extend(queues.pop(cid))
+            inbox.setdefault(links[cid][0], []).extend(queues.pop(cid))
 
         for d in injected or ():
             if not d.count:
@@ -261,8 +261,8 @@ def run_simulation(
 
         active = [cid for cid in queues if windows[cid].first <= q <= windows[cid].last]
         for cid in sorted(active, key=ranks.__getitem__):
-            c = contact(cid)
-            sent = min(c.capacity, queued[cid])
+            _, to_node, capacity = links[cid]
+            sent = min(capacity, queued[cid])
             if not sent:
                 continue
             utilization[(cid, q)] = sent
@@ -277,11 +277,11 @@ def run_simulation(
                     queue.popleft()
                 left -= count
                 path += (cid,)
-                if c.to_node == demand.dst:
+                if to_node == demand.dst:
                     outcome = "delivered_on_time" if q <= deadline else "delivered_late"
                     finished.append(Cohort(first, count, demand, deadline, path, outcome, t_end))
                 else:
-                    inbox.setdefault(c.to_node, []).append(
+                    inbox.setdefault(to_node, []).append(
                         Cohort(first, count, demand, deadline, path)
                     )
             queued[cid] -= sent

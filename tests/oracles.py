@@ -216,7 +216,14 @@ def reference_verify_solution(
     f = grid.state_count
     coms = problem.commodities
     node_ids = sorted(plan.node_ids)
-    arc_at = {(a.contact_id, a.state): a for a in plan.arcs}
+    # Each contact in each state it covers, in (state, contact id) order.
+    arc_at = {
+        (c.contact_id, q): c
+        for c, q in sorted(
+            ((c, q) for c in plan.contacts for q in plan.windows[c.contact_id].states),
+            key=lambda cq: (cq[1], cq[0].contact_id),
+        )
+    }
     gens = [grid.boundary_index(com.t_gen) for com in coms]
 
     X = solution.x_flows

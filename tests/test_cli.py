@@ -470,3 +470,22 @@ def _replayed_outputs(tmp_path, capsys, dur: float, t_later: str) -> dict[str, s
 @pytest.mark.parametrize("dur, t_later", [(10.0, "25"), (0.1, "0.25")])
 def test_replayed_outputs_are_pinned(tmp_path, capsys, dur, t_later):
     assert _replayed_outputs(tmp_path, capsys, dur, t_later) == PINNED_OUTPUTS[dur]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["lp", "verify"])
+def test_tol_must_be_finite_and_nonnegative(plan_file, demands_file, tmp_path, capsys, command, tol):
+    # A NaN or infinite tol certifies anything (every check is residual >
+    # tol) and a negative one fails exact values: both commands refuse one.
+    saved = tmp_path / "solution.json"
+    run_cli(capsys, "lp", "--plan", plan_file, "--demands", demands_file,
+            "--save-solution", saved)
+    doc = json.loads(saved.read_text())
+    doc["x"][0][3] += 5.0
+    saved.write_text(json.dumps(doc))
+    extra = ["--solution", saved] if command == "verify" else []
+    code, out, err = run_cli(
+        capsys, command, "--plan", plan_file, "--demands", demands_file, f"--tol={tol}", *extra
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: tol must be a finite number >= 0, got {float(tol)}\n"

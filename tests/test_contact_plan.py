@@ -147,12 +147,40 @@ _H = "plan 3 10\nnode 1 inf\nnode 2 inf\n"
         # The first malformed token, in record order, is the one reported.
         (_H + "contact x 1 2 nan 10 y\n",
          "line 4, column 9: contact id must be an integer, got 'x'"),
+        # Integer fields are bounded at 2**53 in magnitude.
+        ("plan 9007199254740993 10\n", "line 1, column 1: state_count must be at most 2**53"),
+        (_H + "node 9007199254740993 inf\n", "line 4, column 6: node id is too large"),
+        (_H + "contact 9007199254740993 1 2 0 10 5\n",
+         "line 4, column 9: contact id is too large"),
+        (_H + "contact 1 -9007199254740993 2 0 10 5\n", "line 4, column 11: from is too large"),
+        (_H + "contact 1 1 " + "1" * 30 + " 0 10 5\n", "line 4, column 13: to is too large"),
+        (_H + "contact 1 1 2 0 10 -" + "9" * 30 + "\n",
+         "line 4, column 20: capacity is too large"),
+        # Contact fields are checked after the other records are read; the
+        # first malformed record in line order is still the one reported.
+        (_H + "contact 1 1 2 0 inf 5\nlink 1 2\n",
+         "line 4, column 17: end must be a finite number, got 'inf'"),
+        (_H + "link 1 2\ncontact 1 1 2 0 inf 5\n",
+         "line 4, column 1: unknown record type 'link'"),
+        (_H + "contact 1" + "0" * 30 + " 1 2 0 10 5\ncontact x 1 2 0 10 5\n",
+         "line 4, column 9: contact id is too large"),
+        (_H + "contact 1 1 2 0 10 5\ncontact 2 1 2 0 10 5 6\ncontact 3 1 2 0 1e400 5\n",
+         "line 5, column 1: expected `contact <id> <from> <to> <start_s> <end_s> <capacity>`"),
     ],
 )
 def test_each_syntax_error_names_its_line_column_and_cause(text, message):
     with pytest.raises(PlanSyntaxError) as err:
         parse_contact_plan(text)
     assert str(err.value) == message
+
+
+def test_integer_fields_of_2_pow_53_are_accepted_and_volumes_stay_exact():
+    big = 2**53
+    text = f"plan 3 10\nnode {big - 1} inf\nnode {big} inf\ncontact {big} {big} {big - 1} 0 30 {big}\n"
+    plan = parse_contact_plan(text)
+    assert plan.contact(big) == Contact(big, big, big - 1, 0.0, 30.0, big)
+    assert plan.volumes == {big: 3 * big}
+    assert serialize_contact_plan(plan) == text
 
 
 def test_unknown_record_type_rejected():
@@ -293,7 +321,7 @@ def test_windows_are_the_grid_boundaries_of_each_contact(plan):
     assert sorted(plan.ranks, key=plan.ranks.__getitem__) == [
         c.contact_id for c in sorted(plan.contacts, key=lambda c: (c.start, c.contact_id))
     ]
-    assert [(a.state, a.contact_id) for a in plan.arcs] == sorted(
+    assert list(zip(plan.arcs.state.tolist(), plan.arcs.contact_id.tolist())) == sorted(
         (q, c.contact_id) for c in plan.contacts for q in plan.windows[c.contact_id].states
     )
 

@@ -139,6 +139,14 @@ def test_three_node_solution_verifies(fig1_solved):
     assert verify_solution(problem, solution, TOL) == []
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_verify_rejects_a_tol_that_is_not_finite_and_nonnegative(fig1_solved, tol):
+    problem, solution = fig1_solved
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        verify_solution(problem, solution, tol)
+    assert verify_solution(problem, solution, 0.0) == []
+
+
 def test_three_node_lp_metrics(fig1_plan, fig1_commodities, fig1_solved):
     _, solution = fig1_solved
     metrics = lp_metrics(fig1_plan, fig1_commodities, solution)
@@ -389,7 +397,11 @@ def test_array_verifier_matches_the_loop_verifier(seed, soft):
     n = len(commodities)
     widened = dataclasses.replace(
         problem,
-        x_index=dict.fromkeys((a.contact_id, a.state, k) for a in plan.arcs for k in range(n)),
+        x_index=dict.fromkeys(
+            (cid, q, k)
+            for cid, q in zip(plan.arcs.contact_id.tolist(), plan.arcs.state.tolist())
+            for k in range(n)
+        ),
         b_index=dict.fromkeys(
             (t, v, k) for t in range(plan.grid.state_count + 1) for v in plan.node_ids
             for k in range(n)
