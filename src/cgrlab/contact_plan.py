@@ -20,12 +20,12 @@ A plan holds its contacts as columns (`ContactPlan.columns`), one array
 per field in plan order, (start, id): id, from, to, start and end in
 seconds as written, capacity, and each contact's window, its first and
 last covered state. The parser and the generator fill the columns
-directly, and the windows are worked out once, where the plan is made:
-the generator knows the state it drew each contact for, and any other
-plan takes them from one vectorised pass over its times. Every other
-integer view (`ContactPlan.arcs`, `volumes`, `ranks`, `windows` and
-`links`) is derived from the columns on first use, so no layer converts
-a time to a state itself. `Contact` objects are built only for callers
+directly, and the windows are worked out once, where the plan is made,
+by one vectorised pass over its times (`StateGrid._floor_boundaries`,
+`floor_boundary_index` elementwise). Every other integer view
+(`ContactPlan.arcs`, `volumes`, `ranks`, `windows` and `links`) is
+derived from the columns on first use, so no layer converts a time to a
+state itself. `Contact` objects are built only for callers
 that ask for them (`ContactPlan.contacts` and `ContactPlan.contact`).
 """
 
@@ -283,21 +283,17 @@ class ContactPlan:
         self._adopt(grid, nodes, ints[0], ints[1], ints[2], times[0], times[1], ints[3])
 
     @classmethod
-    def _from_columns(cls, grid, nodes, ids, froms, tos, starts, ends, capacities,
-                      first=None, last=None) -> ContactPlan:
-        """A plan from contact columns in any order; the windows, when not
-        given, come from the grid."""
+    def _from_columns(cls, grid, nodes, ids, froms, tos, starts, ends, capacities) -> ContactPlan:
+        """A plan from contact columns in any order."""
         plan = cls.__new__(cls)
-        plan._adopt(grid, nodes, ids, froms, tos, starts, ends, capacities, first, last)
+        plan._adopt(grid, nodes, ids, froms, tos, starts, ends, capacities)
         return plan
 
-    def _adopt(self, grid, nodes, ids, froms, tos, starts, ends, capacities,
-               first=None, last=None) -> None:
+    def _adopt(self, grid, nodes, ids, froms, tos, starts, ends, capacities) -> None:
         self.grid = grid
         self.nodes = sorted(nodes, key=lambda n: n.node_id)
-        if first is None:
-            bounds = grid._floor_boundaries(np.concatenate((starts, ends)))
-            first, last = bounds[: len(starts)] + 1, bounds[len(starts) :]
+        bounds = grid._floor_boundaries(np.concatenate((starts, ends)))
+        first, last = bounds[: len(starts)] + 1, bounds[len(starts) :]
         order = np.lexsort((ids, starts))
         self.columns = ContactColumns(*(
             _read_only(np.asarray(column)[order])
@@ -605,8 +601,7 @@ def generate_random_topology(cfg: TopologyConfig) -> ContactPlan:
     random() sequence is stable across Python versions, drawing once per
     (pair, state) in ascending (a, b, state) order. Identical configs
     therefore produce bit-identical plans. Each drawn pair gets the next
-    two contact ids, a -> b first; each contact's window is the state it
-    was drawn for.
+    two contact ids, a -> b first.
     """
     rng = random.Random(cfg.seed)
     n, f = cfg.node_count, cfg.grid.state_count
@@ -628,8 +623,6 @@ def generate_random_topology(cfg: TopologyConfig) -> ContactPlan:
         starts,
         ends,
         np.full(len(states), cfg.capacity, dtype=np.int64),
-        states,
-        states,
     )
 
 

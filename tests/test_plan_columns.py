@@ -91,6 +91,15 @@ def test_generated_and_parsed_plans_follow_the_scalar_rule(duration):
         assert again.columns.last.tolist() == plan.columns.last.tolist()
 
 
+@pytest.mark.parametrize("duration", [1e308, 1e-320])
+def test_generated_plans_on_degenerate_grids_follow_the_scalar_rule(duration):
+    # State ends that overflow to inf, and ratios that overflow: a generated
+    # plan's windows come from its times, as a parsed plan's do.
+    for seed in range(20):
+        cfg = TopologyConfig(6, 0.3, 1, StateGrid(6, duration), seed)
+        _assert_views_match(generate_random_topology(cfg))
+
+
 def test_equality_compares_grid_nodes_and_columns(fig1_plan):
     same = ContactPlan(fig1_plan.grid, list(reversed(fig1_plan.nodes)),
                        list(reversed(fig1_plan.contacts)))
