@@ -106,8 +106,8 @@ class StateGrid:
             raise ValueError(f"state_count must be >= 1, got {self.state_count}")
         if self.state_count > _INT_LIMIT:
             raise ValueError("state_count must be at most 2**53")
-        if not self.state_duration > 0:
-            raise ValueError(f"state_duration must be > 0, got {self.state_duration}")
+        if not 0 < self.state_duration < math.inf:
+            raise ValueError(f"state_duration must be finite and > 0, got {self.state_duration}")
 
     @property
     def horizon(self) -> float:
@@ -581,13 +581,24 @@ def parse_contact_plan(text: str) -> ContactPlan:
 
 
 def serialize_contact_plan(plan: ContactPlan) -> str:
-    """Render a plan in canonical text form; parse(serialize(p)) == p."""
+    """Render a plan in canonical text form; parse(serialize(p)) == p.
+
+    Raises ValueError for a contact whose start or end is not finite, such
+    as a state end past float range, which the text format cannot hold."""
+    columns = plan.columns
+    finite = np.isfinite(columns.start) & np.isfinite(columns.end)
+    if not finite.all():
+        i = np.argmin(finite)
+        raise ValueError(
+            f"contact {columns.contact_id[i]} runs from {columns.start[i]} to {columns.end[i]}; "
+            "a plan file holds finite times only"
+        )
     lines = [f"plan {plan.grid.state_count} {_fmt_seconds(plan.grid.state_duration)}"]
     for n in plan.nodes:
         buf = "inf" if math.isinf(n.buffer_capacity) else str(int(n.buffer_capacity))
         lines.append(f"node {n.node_id} {buf}")
     # Python scalars, which print as the text format writes them.
-    for cid, v, w, start, end, cap in plan._rows(*plan.columns[:6]):
+    for cid, v, w, start, end, cap in plan._rows(*columns[:6]):
         lines.append(f"contact {cid} {v} {w} {_fmt_seconds(start)} {_fmt_seconds(end)} {cap}")
     return "\n".join(lines) + "\n"
 

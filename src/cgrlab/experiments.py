@@ -21,7 +21,6 @@ import math
 import statistics
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -272,7 +271,7 @@ class SweepResult:
         for r in self.rows:
             if r.scheme != scheme or r.load != load or r.metrics is None:
                 continue
-            value = r.metrics.as_dict()[metric]
+            value = getattr(r.metrics, metric)
             if value is not None:
                 out.append(value)
         return out
@@ -407,6 +406,8 @@ def run_sweep(cfg: ScenarioConfig, jobs: int = 1) -> SweepResult:
         for seed in cfg.seeds:
             rows.extend(_run_seed(cfg, seed))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for part in pool.map(_run_seed, [cfg] * len(cfg.seeds), cfg.seeds):
                 rows.extend(part)

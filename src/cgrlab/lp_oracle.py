@@ -121,17 +121,23 @@ bounds from the supplies. A sweep, whose loads change only the amounts,
 so builds each seed's layout once.
 
 `solve_lp` hands the model to HiGHS through the binding scipy bundles
-(`scipy.optimize._highspy`), with the dual simplex, the setting
+(`scipy.optimize._highspy._core`), with the dual simplex, the setting
 `scipy.optimize.linprog` uses, so a cold solve returns the same optimum.
+The binding is loaded from its file, not imported by name: an import by
+name first runs scipy.optimize's package import, which loads
+scipy.linalg, scipy.sparse, scipy.fft and numpy.f2py, about 0.4 s that
+the solve never uses. It is registered under its own name, so a later
+`import scipy.optimize` shares the very module.
 The layout holds the constraints as one column-wise matrix -- int32
 column starts and row indices and float64 values, the inequality rows
 first, then the equalities, row indices sorted within each column --
 together with the row and column bound templates. A cold solve passes
 all of it in one call to the binding's array `passModel`, so no entry is
 converted one at a time. `LpProblem.a_ub` and `a_eq` are row-wise views
-of the same matrix, derived once per layout on first use; the LP text
-export reads them. An `LpSession` keeps the model
-loaded: a sweep solves one seed's loads through one session. A problem
+of the same matrix, derived once per layout on first use, which is the
+only use of scipy.sparse and imports it; the LP text export reads them.
+An `LpSession` keeps the model loaded: a sweep solves one seed's loads
+through one session. A problem
 built from the loaded layout holds its very objective and matrix;
 identity is the whole test, and only such a problem is solved warm, by
 passing its new right-hand sides and column bounds. The dual simplex
@@ -169,22 +175,53 @@ the hard model and is off by default.
 from __future__ import annotations
 
 import csv
+import importlib.machinery
+import importlib.util
 import io
 import json
 import math
+import sys
 from bisect import bisect_left
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from pathlib import Path
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize._highspy import _core as highs
-from scipy.sparse import csc_matrix, csr_matrix
+import scipy
 
 from .contact_plan import ContactPlan
 from .simulator import Demand, Metrics
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
+
+
+def _load_highs():
+    """scipy's HiGHS binding, loaded from its file (see the module docstring).
+
+    Registering it in sys.modules, rather than relying on the interpreter's
+    extension cache, makes every later import by name, from cgrlab or from
+    scipy.optimize, return this very module and `_Highs` type."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_core{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+            return module
+    raise ImportError(f"cgrlab needs scipy>=1.15, whose {name} binds HiGHS; no such file in {folder}")
+
+
+highs = _load_highs()
 
 __all__ = [
     "Commodity",
@@ -575,6 +612,8 @@ class _Layout:
     @cached_property
     def row_blocks(self) -> tuple[csr_matrix | None, csr_matrix | None]:
         """(a_ub, a_eq): the matrix's row blocks, None when a block is empty."""
+        from scipy.sparse import csc_matrix
+
         full = csc_matrix(
             (self.value, self.index, self.start), shape=(self.n_ub + self.n_eq, len(self.objective))
         ).tocsr()

@@ -160,7 +160,12 @@ class Metrics:
     energy_efficiency: float | None
 
     def as_dict(self) -> dict[str, float | None]:
-        return asdict(self)
+        return {
+            "delivery_ratio": self.delivery_ratio,
+            "mean_hops": self.mean_hops,
+            "mean_delay": self.mean_delay,
+            "energy_efficiency": self.energy_efficiency,
+        }
 
 
 def _check_demands(plan: ContactPlan, demands: list[Demand]) -> list[int]:

@@ -70,6 +70,19 @@ def test_gen_writes_deterministic_plan(tmp_path, capsys):
     assert out1.read_text().startswith("plan 10 10\n")
 
 
+@pytest.mark.parametrize("dur, density, message", [
+    ("inf", 0.5, "error: state_duration must be finite and > 0, got inf\n"),
+    # Two states of 1e308 s: the state-2 contacts end past float range.
+    ("1e308", 1, "error: contact 3 runs from 1e+308 to inf; a plan file holds finite times only\n"),
+])
+def test_gen_rejects_times_a_plan_file_cannot_hold(tmp_path, capsys, dur, density, message):
+    out = tmp_path / "plan.cp"
+    code, stdout, err = run_cli(capsys, "gen", "--nodes", 3, "--states", 2, "--dur", dur,
+                                "--density", density, "--seed", 1, "--out", out)
+    assert (code, stdout, err) == (1, "", message)
+    assert not out.exists()
+
+
 def test_validate_ok(plan_file, capsys):
     code, out, _ = run_cli(capsys, "validate", "--plan", plan_file)
     assert code == 0
