@@ -12,10 +12,9 @@ this order:
 * `parse_contact_plan` on the plan's serialized text; the parsed plan is
   the one the later layers use, so its caches start empty;
 * `build_route_tables`: every node's k = 4 routes toward the destination,
-  as a sweep builds them (the plan's caches fill here);
-* `run_simulation` for each policy, on those tables, after one untimed
-  run that fills the plan's remaining caches (`plan.volumes`,
-  `plan.ranks`), so that neither policy is charged for them;
+  as a sweep builds them (the plan's caches fill here, the contact index
+  the simulator reads among them);
+* `run_simulation` for each policy, on those tables;
 * `build_lp` of the hard model, then its cold `solve_lp`;
 * `verify_solution` on the hard optimum, when the model has one; an
   optimum that does not certify stops the script with an error.
@@ -98,7 +97,6 @@ def main() -> int:
             contacts.append(len(plan.columns.contact_id))
             tables, elapsed = timed(build_route_tables, plan, 4, {nodes})
             times["tables_s"].append(elapsed)
-            run_simulation(plan, demands, Policy.DELTIME, 4, tables)
             for policy in Policy:
                 _, elapsed = timed(run_simulation, plan, demands, policy, 4, tables)
                 times[f"{policy.value}_s"].append(elapsed)

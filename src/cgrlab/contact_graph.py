@@ -35,8 +35,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .contact_plan import ContactPlan, StateGrid
+from .contact_plan import ContactPlan
 
 __all__ = [
     "Route",
@@ -51,37 +52,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Route:
-    """A contact chain with its derived attributes, as scheduled from the
-    query time.
+    """A contact chain, as scheduled from the query time.
 
-    states holds the state each contact transmits in: the route departs
-    at the start of states[0] and delivers at the end of states[-1].
-    expiration is the earliest contact end in seconds (the route dies
-    when any of its contacts ends); max_volume is the smallest
-    whole-window volume along the chain. sort_key and hops_key are the
-    DELTIME and HOPS orders, as key functions.
+    contacts holds the contact ids in order; states holds the state each
+    contact transmits in: the route departs at the start of states[0] and
+    delivers at the end of states[-1]. Its hop count is len(contacts);
+    its expiration and volume are worked out where a table is printed
+    (`route_table_csv`). sort_key and hops_key are the DELTIME and HOPS
+    orders, as key functions.
     """
 
     contacts: tuple[int, ...]
-    hops: int
-    expiration: float
-    max_volume: int
     states: tuple[int, ...]
 
     def sort_key(self) -> tuple[int, int, tuple[int, ...]]:
-        return self.states[-1], self.hops, self.contacts
+        return self.states[-1], len(self.contacts), self.contacts
 
     def hops_key(self) -> tuple[int, int, tuple[int, ...]]:
-        return self.hops, self.states[-1], self.contacts
+        return len(self.contacts), self.states[-1], self.contacts
 
 
 @dataclass
 class RouteTable:
     """Per-destination route lists computed by one node from the shared
-    plan, with the plan's grid, which turns route states into times."""
+    plan, which the table holds: its grid turns route states into times,
+    and `route_table_csv` reads its contacts."""
 
     owner: int
-    grid: StateGrid
+    plan: ContactPlan
     routes: dict[int, list[Route]] = field(default_factory=dict)
 
     def routes_for(self, destination: int) -> list[Route]:
@@ -91,15 +89,17 @@ class RouteTable:
         return sorted(self.routes)
 
 
-def _route(plan: ContactPlan, ids: tuple[int, ...], states: tuple[int, ...]) -> Route:
-    """The Route for a node-connected id chain and its transmission states."""
-    return Route(
-        contacts=ids,
-        hops=len(ids),
-        expiration=min(map(_index(plan).end.__getitem__, ids)),
-        max_volume=min(map(plan.volumes.__getitem__, ids)),
-        states=states,
-    )
+class _IndexedContact(NamedTuple):
+    """One contact as the plan's index holds it: its endpoints, per-state
+    capacity, window (first..last, 1-based and inclusive, empty when
+    last < first) and position in plan order, (start, contact_id)."""
+
+    from_node: int
+    to_node: int
+    capacity: int
+    first: int
+    last: int
+    position: int
 
 
 # A completion: (delivery state, hops, contact ids, transmission states).
@@ -107,33 +107,38 @@ _Completion = tuple[int, int, tuple[int, ...], tuple[int, ...]]
 
 
 class _RouteIndex:
-    """A plan's contacts as route search reads them, read once from the
-    plan's columns, and its completion tables by destination. Kept on the
-    plan (`ContactPlan._routing`).
+    """A plan's contacts by id, read once from the plan's columns, as route
+    search and the simulator read them, and the plan's completion tables
+    by destination. Kept on the plan (`ContactPlan._routing`) and read
+    through `contact_index`.
 
-    nodes is the set of declared node ids; to_node and end give each
-    contact's receiving node and end time by id. out[v] lists (first, last,
-    contact_id, to_node) for every contact from v with a nonempty window;
-    starting[s] and covering[s] list (contact_id, from_node, to_node) for
-    the contacts whose window starts at state s and for those that cover
-    s after their first state.
+    nodes is the set of declared node ids. contacts gives each contact's
+    endpoints, capacity, window and plan position (`_IndexedContact`),
+    and volumes the packets it can carry over its whole window, capacity
+    times covered states, as Python integers so the product stays exact;
+    both by contact id. out[v] lists (first, last, contact_id, to_node)
+    for every contact from v with a nonempty window; starting[s] and
+    covering[s] list (contact_id, from_node, to_node) for the contacts
+    whose window starts at state s and for those that cover s after their
+    first state.
     """
 
     def __init__(self, plan: ContactPlan):
         n = plan.grid.state_count
         self.nodes = plan.node_ids
         self.out: dict[int, list[tuple[int, int, int, int]]] = {v.node_id: [] for v in plan.nodes}
-        self.to_node: dict[int, int] = {}
-        self.end: dict[int, float] = {}
+        self.contacts: dict[int, _IndexedContact] = {}
+        self.volumes: dict[int, int] = {}
         self.starting: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
         self.covering: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
         self.tables: dict[int, list[dict[int, _Completion]]] = {}
         cols = plan.columns
-        for cid, v, w, end, first, last in zip(*(column.tolist() for column in (
-            cols.contact_id, cols.from_node, cols.to_node, cols.end, cols.first, cols.last
-        ))):
-            self.to_node[cid] = w
-            self.end[cid] = end
+        rows = zip(*(column.tolist() for column in (
+            cols.contact_id, cols.from_node, cols.to_node, cols.capacity, cols.first, cols.last
+        )))
+        for position, (cid, v, w, cap, first, last) in enumerate(rows):
+            self.contacts[cid] = _IndexedContact(v, w, cap, first, last, position)
+            self.volumes[cid] = cap * max(0, last - first + 1)
             if first > last:
                 continue
             self.out.setdefault(v, []).append((first, last, cid, w))
@@ -191,7 +196,8 @@ class _RouteIndex:
         return rows
 
 
-def _index(plan: ContactPlan) -> _RouteIndex:
+def contact_index(plan: ContactPlan) -> _RouteIndex:
+    """The plan's contact index, built on first use and kept on the plan."""
     index = plan._routing
     if index is None:
         index = plan._routing = _RouteIndex(plan)
@@ -246,7 +252,7 @@ def earliest_delivery_route(
     """
     if not math.isfinite(t_now):
         raise ValueError(f"t_now must be a finite number, got {t_now}")
-    index = _index(plan)
+    index = contact_index(plan)
     _require_nodes(index, source, dest)
     if source == dest:
         raise ValueError("source and destination must differ")
@@ -264,7 +270,7 @@ def earliest_delivery_route(
     # Heap entries: (delivery, hops, ids, prefix length, node, state,
     # prefix states, completion states). A label's ids and prefix length
     # identify it, so comparisons never reach the node.
-    to_node = index.to_node.__getitem__
+    contacts = index.contacts
     out = index.out
     heap = [(best[0], best[1], best[2], 0, source, start, (), best[3])]
     settled: set[tuple[int, int]] = set()
@@ -274,8 +280,8 @@ def earliest_delivery_route(
             continue
         settled.add((node, avail))
         tail = ids[plen:]
-        if sup_c.isdisjoint(tail) and sup_n.isdisjoint(map(to_node, tail)):
-            return _route(plan, ids, states + rest)
+        if sup_c.isdisjoint(tail) and sup_n.isdisjoint(contacts[c].to_node for c in tail):
+            return Route(ids, states + rest)
         prefix = ids[:plen]
         hops = plen + 1
         for first, last, cid, w in out[node]:
@@ -320,7 +326,7 @@ def k_best_routes(
         return []
 
     grid = plan.grid
-    index = _index(plan)
+    contacts = contact_index(plan).contacts
     accepted: list[Route] = [first]
     deviation: dict[tuple[int, ...], int] = {first.contacts: 0}
     # Candidates as (sort key, spur position, contact ids, states); a Route
@@ -330,15 +336,15 @@ def k_best_routes(
 
     while len(accepted) < k_routes:
         parent = accepted[-1]
-        parent_nodes = [source, *map(index.to_node.__getitem__, parent.contacts)]
-        for j in range(deviation[parent.contacts], parent.hops):
+        parent_nodes = [source, *(contacts[c].to_node for c in parent.contacts)]
+        for j in range(deviation[parent.contacts], len(parent.contacts)):
             root = parent.contacts[:j]
             spur_node = parent_nodes[j]
             t_spur = t_now if j == 0 else grid.state_end(parent.states[j - 1])
             spur_suppressed = {
                 r.contacts[j]
                 for r in accepted
-                if r.hops > j and r.contacts[:j] == root
+                if len(r.contacts) > j and r.contacts[:j] == root
             }
             node_suppressed = set(parent_nodes[:j])
             spur = earliest_delivery_route(
@@ -356,7 +362,7 @@ def k_best_routes(
         if not candidates:
             break
         _, j, total, states = heapq.heappop(candidates)
-        accepted.append(_route(plan, total, states))
+        accepted.append(Route(total, states))
         deviation[total] = j
 
     return sorted(accepted, key=Route.sort_key)
@@ -371,8 +377,8 @@ def build_route_table(
 ) -> RouteTable:
     """Compute the owner's k-best route lists toward each destination.
     Raises KeyError for an undeclared node."""
-    _require_nodes(_index(plan), owner, *destinations)
-    table = RouteTable(owner=owner, grid=plan.grid)
+    _require_nodes(contact_index(plan), owner, *destinations)
+    table = RouteTable(owner=owner, plan=plan)
     for dest in sorted(destinations):
         if dest == owner:
             table.routes[dest] = []
@@ -392,13 +398,22 @@ def build_route_tables(
 
 
 def route_table_csv(table: RouteTable) -> str:
-    """Render a route table as CSV, one row per route."""
+    """Render a route table as CSV, one row per route. A route's expiration
+    is the earliest end of its contacts, in seconds (the route dies when
+    any of its contacts ends), and its max_volume the smallest
+    whole-window volume along the chain."""
+    plan = table.plan
+    index = contact_index(plan)
+    contacts, volumes = index.contacts, index.volumes
+    ends = plan.columns.end.tolist()
     lines = ["route_id,owner,dest,contacts,delivery_time,hops,expiration,max_volume"]
     for dest in table.destinations():
         for i, r in enumerate(table.routes_for(dest)):
             path = "|".join(str(c) for c in r.contacts)
+            expiration = min(ends[contacts[c].position] for c in r.contacts)
+            max_volume = min(volumes[c] for c in r.contacts)
             lines.append(
-                f"{i},{table.owner},{dest},{path},{table.grid.state_end(r.states[-1])},"
-                f"{r.hops},{r.expiration},{r.max_volume}"
+                f"{i},{table.owner},{dest},{path},{plan.grid.state_end(r.states[-1])},"
+                f"{len(r.contacts)},{expiration},{max_volume}"
             )
     return "\n".join(lines) + "\n"

@@ -22,11 +22,11 @@ seconds as written, capacity, and each contact's window, its first and
 last covered state. The parser and the generator fill the columns
 directly, and the windows are worked out once, where the plan is made,
 by one vectorised pass over its times (`StateGrid._floor_boundaries`,
-`floor_boundary_index` elementwise). Every other integer view
-(`ContactPlan.arcs`, `volumes`, `ranks`, `windows` and `links`) is
-derived from the columns on first use, so no layer converts a time to a
-state itself. `Contact` objects are built only for callers
-that ask for them (`ContactPlan.contacts` and `ContactPlan.contact`).
+`floor_boundary_index` elementwise), so no layer converts a time to a
+state itself. `ContactPlan.arcs`, every contact in every state it
+covers, is derived from the columns on first use. `Contact` objects are
+built only for callers that ask for them (`ContactPlan.contacts` and
+`ContactPlan.contact`).
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ import numpy as np
 __all__ = [
     "StateGrid",
     "Contact",
-    "Window",
     "ContactColumns",
     "Arcs",
     "NodeSpec",
@@ -195,26 +194,13 @@ class Contact:
     capacity: int
 
 
-class Window(NamedTuple):
-    """The states a contact covers: first..last, 1-based and inclusive.
-
-    With boundary b(t) the last grid boundary at or before t (clamped to
-    the grid), a contact covers states b(start) + 1 through b(end). The
-    window is empty when last < first.
-    """
-
-    first: int
-    last: int
-
-    @property
-    def states(self) -> range:
-        return range(self.first, self.last + 1)
-
-
 class ContactColumns(NamedTuple):
     """A plan's contacts as read-only arrays in plan order, (start, id):
     the six `Contact` fields (int64 but start and end, float64) and each
-    contact's window (`Window`), int64."""
+    contact's window, int64: with boundary b(t) the last grid boundary at
+    or before t (clamped to the grid), a contact covers states
+    first = b(start) + 1 through last = b(end), and none when
+    last < first."""
 
     contact_id: np.ndarray
     from_node: np.ndarray
@@ -265,12 +251,11 @@ class ContactPlan:
     build `Contact` objects from the columns on first use.
 
     The plan's integer view of time lives here too: the windows are
-    columns, and `arcs`, `volumes`, `ranks`, `windows` and `links` are
-    derived from the columns once per plan, on first use, so no layer
-    converts contact times to states itself. The LP keeps its model
-    layouts on the plan too, one per class set (`lp_oracle.build_lp`),
-    and route search its contact index and completion tables, one per
-    destination (`contact_graph`).
+    columns, and `arcs` is derived from them once per plan, on first use.
+    The LP keeps its model layouts on the plan too, one per class set
+    (`lp_oracle.build_lp`), and route search its contact index, which the
+    simulator reads as well, and completion tables, one per destination
+    (`contact_graph.contact_index`).
     """
 
     def __init__(self, grid: StateGrid, nodes: list[NodeSpec], contacts: list[Contact]):
@@ -338,35 +323,6 @@ class ContactPlan:
             return self._by_id[contact_id]
         except KeyError:
             raise KeyError(f"unknown contact {contact_id}") from None
-
-    @cached_property
-    def windows(self) -> dict[int, Window]:
-        """Each contact's covered states, by contact id."""
-        cols = self.columns
-        return {cid: Window(first, last)
-                for cid, first, last in self._rows(cols.contact_id, cols.first, cols.last)}
-
-    @cached_property
-    def links(self) -> dict[int, tuple[int, int, int]]:
-        """Each contact's (from_node, to_node, capacity), by contact id."""
-        cols = self.columns
-        return {cid: (v, w, cap) for cid, v, w, cap
-                in self._rows(cols.contact_id, cols.from_node, cols.to_node, cols.capacity)}
-
-    @cached_property
-    def volumes(self) -> dict[int, int]:
-        """Packets each contact can carry over its whole window, by contact
-        id; Python integers, so a large capacity times a long window stays
-        exact."""
-        cols = self.columns
-        return {cid: cap * max(0, last - first + 1) for cid, cap, first, last
-                in self._rows(cols.contact_id, cols.capacity, cols.first, cols.last)}
-
-    @cached_property
-    def ranks(self) -> dict[int, int]:
-        """Each contact's position in plan order, (start, contact_id), by
-        contact id."""
-        return dict(zip(self.columns.contact_id.tolist(), range(len(self.columns.contact_id))))
 
     @cached_property
     def arcs(self) -> Arcs:

@@ -42,9 +42,9 @@ class Policy(Enum):
 
 class CapacityLedger:
     """Residual bookable volume per contact, as seen by one node: each
-    contact's whole-window volume (capacity times covered states, e.g.
-    `ContactPlan.volumes`), shared and never copied, less this node's
-    bookings."""
+    contact's whole-window volume (capacity times covered states, by id:
+    the plan's `contact_graph.contact_index(plan).volumes`), shared and
+    never copied, less this node's bookings."""
 
     def __init__(self, volumes: dict[int, int]):
         self._volumes = volumes

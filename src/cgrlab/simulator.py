@@ -46,7 +46,7 @@ from itertools import chain, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
-from .contact_graph import RouteTable, build_route_tables
+from .contact_graph import RouteTable, build_route_tables, contact_index
 from .contact_plan import ContactPlan
 from .forwarding import CapacityLedger, Policy, book_cohort
 
@@ -197,7 +197,9 @@ def run_simulation(
 
     `tables` may carry precomputed route tables (as built at t = 0 for the
     demand destinations) to avoid recomputation across runs on the same
-    plan; by default they are built here.
+    plan; by default they are built here. Each contact's window, endpoints,
+    capacity, plan position and volume are read from the plan's contact
+    index (`contact_graph.contact_index`), which route search builds.
     """
     grid = plan.grid
     gen_index = _check_demands(plan, demands)
@@ -209,8 +211,9 @@ def run_simulation(
     for d, idx in zip(demands, gen_index):
         injections.setdefault(idx + 1, []).append(d)
 
-    windows, ranks, links = plan.windows, plan.ranks, plan.links
-    ledgers = {v.node_id: CapacityLedger(plan.volumes) for v in plan.nodes}
+    index = contact_index(plan)
+    contacts = index.contacts
+    ledgers = {v.node_id: CapacityLedger(index.volumes) for v in plan.nodes}
     # Each node's routes to each destination, in the policy's order.
     orders = {(v, dst): policy.order(table.routes_for(dst))
               for v, table in tables.items() for dst in destinations}
@@ -232,9 +235,9 @@ def run_simulation(
 
         # Cohorts left on a contact with no state left go back to the store,
         # each node's in contact-id order.
-        for cid in sorted(cid for cid in queues if windows[cid].last < q):
+        for cid in sorted(cid for cid in queues if contacts[cid].last < q):
             del queued[cid]
-            inbox.setdefault(links[cid][0], []).extend(queues.pop(cid))
+            inbox.setdefault(contacts[cid].from_node, []).extend(queues.pop(cid))
 
         for d in injected or ():
             if not d.count:
@@ -264,9 +267,9 @@ def run_simulation(
                     finished.append(Cohort(first, left, demand, deadline, path, "dropped"))
         inbox.clear()
 
-        active = [cid for cid in queues if windows[cid].first <= q <= windows[cid].last]
-        for cid in sorted(active, key=ranks.__getitem__):
-            _, to_node, capacity = links[cid]
+        active = [cid for cid in queues if contacts[cid].first <= q <= contacts[cid].last]
+        for cid in sorted(active, key=lambda cid: contacts[cid].position):
+            _, to_node, capacity = contacts[cid][:3]
             sent = min(capacity, queued[cid])
             if not sent:
                 continue

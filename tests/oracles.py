@@ -30,6 +30,12 @@ on those times, then book it atomically.
 `route_attributes` schedules a given contact-id chain greedily from
 scratch, as the library's search once did per candidate.
 
+`scalar_windows` works out each contact's window and whole-window volume
+from `Contact` objects, one `StateGrid.floor_boundary_index` call per
+time, and the references above read windows and volumes from it alone:
+none of them reads the plan's window columns or its contact index, so a
+wrong window there shows as a difference from them.
+
 `reference_verify_solution` is the LP verifier as it was written before it
 checked arrays: one pass over the flows in dictionary order, then every row
 of the full model one (class, timestamp, node) at a time, reading missing
@@ -59,6 +65,33 @@ from cgrlab.lp_oracle import Commodity, LpProblem, LpSolution, Violation
 from cgrlab.simulator import Demand, Metrics, PacketRecord
 
 RouteKey = tuple[float, int, tuple[int, ...]]
+
+
+class ScalarWindow(NamedTuple):
+    """A contact with the states it covers, first..last (empty when
+    last < first), and the packets it can carry over them."""
+
+    contact: Contact
+    first: int
+    last: int
+    volume: int
+
+    @property
+    def states(self) -> range:
+        return range(self.first, self.last + 1)
+
+
+def scalar_windows(plan: ContactPlan) -> dict[int, ScalarWindow]:
+    """Each contact's window and volume by contact id, in plan order,
+    worked out contact by contact: with b(t) the grid's
+    `floor_boundary_index`, a contact covers states b(start) + 1 through
+    b(end), and its volume is its capacity times their number."""
+    grid = plan.grid
+    out = {}
+    for c in plan.contacts:
+        first, last = grid.floor_boundary_index(c.start) + 1, grid.floor_boundary_index(c.end)
+        out[c.contact_id] = ScalarWindow(c, first, last, c.capacity * max(0, last - first + 1))
+    return out
 
 
 def _arrival_after(contact: Contact, available: float, duration: float) -> float | None:
@@ -107,9 +140,7 @@ def solve_full_lp(plan: ContactPlan, commodities: list[Commodity], soft: bool) -
     grid = plan.grid
     f = grid.state_count
     nodes = sorted(plan.node_ids)
-    arcs = [
-        (c, q) for c in plan.contacts for q in plan.windows[c.contact_id].states
-    ]
+    arcs = [(w.contact, q) for w in scalar_windows(plan).values() for q in w.states]
     big_m = grid.horizon * max(1, len(arcs))
     cost: dict[tuple, float] = {}
     eq: list[tuple[dict[tuple, float], float]] = []
@@ -220,7 +251,7 @@ def reference_verify_solution(
     arc_at = {
         (c.contact_id, q): c
         for c, q in sorted(
-            ((c, q) for c in plan.contacts for q in plan.windows[c.contact_id].states),
+            ((w.contact, q) for w in scalar_windows(plan).values() for q in w.states),
             key=lambda cq: (cq[1], cq[0].contact_id),
         )
     }
@@ -331,7 +362,7 @@ def reference_lp_metrics(
         return Metrics(None, None, None, None)
 
     grid = plan.grid
-    windows = plan.windows
+    windows = scalar_windows(plan)
     delivered = sum(
         com.amount - solution.slacks.get(k, 0.0) for k, com in enumerate(commodities)
     )
@@ -379,8 +410,7 @@ class Packet:
 
 
 def route_attributes(plan: ContactPlan, contacts: list[int], t_now: float = 0.0) -> Route:
-    """Schedule a contact-id chain greedily from t_now and derive its
-    attributes.
+    """Schedule a contact-id chain greedily from t_now.
 
     Raises ValueError if the ids are unknown, the chain is not
     node-connected, or some contact has no usable state at or after the
@@ -399,10 +429,11 @@ def route_attributes(plan: ContactPlan, contacts: list[int], t_now: float = 0.0)
                 f"broken chain: contact {prev.contact_id} ends at node {prev.to_node} "
                 f"but contact {nxt.contact_id} starts at node {nxt.from_node}"
             )
+    windows = scalar_windows(plan)
     avail = plan.grid.first_state_starting_at_or_after(t_now) - 1
     states = []
     for i, cid in enumerate(ids):
-        first, last = plan.windows[cid]
+        first, last = windows[cid].first, windows[cid].last
         avail = max(avail + 1, first)
         if avail > last:
             raise ValueError(
@@ -410,13 +441,7 @@ def route_attributes(plan: ContactPlan, contacts: list[int], t_now: float = 0.0)
                 f"{'t_now' if i == 0 else f'contact {ids[i - 1]}'}"
             )
         states.append(avail)
-    return Route(
-        contacts=ids,
-        hops=len(ids),
-        expiration=min(c.end for c in chain),
-        max_volume=min(plan.volumes[cid] for cid in ids),
-        states=tuple(states),
-    )
+    return Route(ids, tuple(states))
 
 
 def filter_routes(
@@ -424,18 +449,20 @@ def filter_routes(
 ) -> list[Route]:
     """Keep the routes still usable for this packet at t_now, in table order.
 
-    A route survives when it has not expired, its scheduled first-hop
-    departure has not already passed, every contact still has bookable
-    volume, and it delivers within the packet's deadline, read on the
-    table's grid: by the end of the last state that ends at or before the
-    deadline (`StateGrid.floor_boundary_index`), the rule the simulator
-    and the LP bound apply too.
+    A route survives when it has not expired (no contact of it has ended
+    by t_now), its scheduled first-hop departure has not already passed,
+    every contact still has bookable volume, and it delivers within the
+    packet's deadline, read on the table's grid: by the end of the last
+    state that ends at or before the deadline
+    (`StateGrid.floor_boundary_index`), the rule the simulator and the LP
+    bound apply too.
     """
-    grid = table.grid
+    grid = table.plan.grid
+    windows = scalar_windows(table.plan)
     cutoff = grid.state_end(grid.floor_boundary_index(pkt.deadline))
     out = []
     for r in table.routes_for(pkt.dst):
-        if r.expiration <= t_now:
+        if min(windows[cid].contact.end for cid in r.contacts) <= t_now:
             continue
         if grid.state_start(r.states[0]) < t_now:
             continue
@@ -454,8 +481,9 @@ def select_route(feasible: list[Route], policy: Policy, grid: StateGrid) -> Rout
     if not feasible:
         return None
     if policy is Policy.DELTIME:
-        return min(feasible, key=lambda r: (grid.state_end(r.states[-1]), r.hops, r.contacts))
-    return min(feasible, key=lambda r: (r.hops, grid.state_end(r.states[-1]), r.contacts))
+        return min(feasible,
+                   key=lambda r: (grid.state_end(r.states[-1]), len(r.contacts), r.contacts))
+    return min(feasible, key=lambda r: (len(r.contacts), grid.state_end(r.states[-1]), r.contacts))
 
 
 def book_capacity(ledger: CapacityLedger, route: Route, n: int) -> CapacityLedger:
@@ -487,7 +515,7 @@ def reference_forward_or_drop(
     Returns the booked route whose first contact the packet should be
     queued on, or None when the packet must be dropped.
     """
-    route = select_route(filter_routes(table, pkt, t_now, ledger), policy, table.grid)
+    route = select_route(filter_routes(table, pkt, t_now, ledger), policy, table.plan.grid)
     if route is None:
         return None
     book_capacity(ledger, route, 1)
@@ -523,14 +551,15 @@ def dense_simulation(
         tables = build_route_tables(plan, k_routes, {d.dst for d in demands})
 
     node_ids = sorted(plan.node_ids)
-    ledgers = {nid: CapacityLedger(plan.volumes) for nid in node_ids}
+    windows = scalar_windows(plan)
+    volumes = {cid: w.volume for cid, w in windows.items()}
+    ledgers = {nid: CapacityLedger(volumes) for nid in node_ids}
     inbox: dict[int, deque[Packet]] = {nid: deque() for nid in node_ids}
     # Each node's queues in contact-id order, the order they return packets in.
     queues: dict[int, dict[int, deque[Packet]]] = {nid: {} for nid in node_ids}
     for c in sorted(plan.contacts, key=lambda contact: contact.contact_id):
         queues[c.from_node][c.contact_id] = deque()
 
-    windows = plan.windows
     state_contacts = [
         [c for c in plan.contacts if q in windows[c.contact_id].states]
         for q in range(grid.state_count + 1)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import heapq
 import itertools
@@ -8,6 +9,7 @@ import pytest
 
 from cgrlab import contact_graph
 from cgrlab.contact_graph import (
+    RouteTable,
     build_route_table,
     build_route_tables,
     earliest_delivery_route,
@@ -25,15 +27,23 @@ from cgrlab.contact_plan import (
 )
 
 from conftest import random_small_plan
-from oracles import enumerate_routes, route_attributes
+from oracles import enumerate_routes, route_attributes, scalar_windows
+
+
+def _printed(plan, route):
+    """The route's row as `route_table_csv` prints it."""
+    table = RouteTable(1, plan, {3: [route]})
+    (row,) = csv.DictReader(route_table_csv(table).splitlines())
+    return row
 
 
 def test_route_attributes_two_hop(fig1_plan):
     r = route_attributes(fig1_plan, [1, 2], 0.0)
     assert fig1_plan.grid.state_end(r.states[-1]) == 20.0
-    assert r.hops == 2
-    assert r.expiration == 10.0  # dies when its first contact ends
-    assert r.max_volume == 10
+    row = _printed(fig1_plan, r)
+    assert row["hops"] == "2"
+    assert row["expiration"] == "10.0"  # dies when its first contact ends
+    assert row["max_volume"] == "10"
     assert fig1_plan.grid.state_start(r.states[0]) == 0.0
     assert (fig1_plan.contact(r.contacts[0]).from_node,
             fig1_plan.contact(r.contacts[-1]).to_node) == (1, 3)
@@ -43,9 +53,11 @@ def test_route_attributes_two_hop(fig1_plan):
 def test_route_attributes_single_contact(fig1_plan):
     r = route_attributes(fig1_plan, [3], 0.0)
     assert fig1_plan.grid.state_end(r.states[-1]) == 30.0
-    assert r.hops == 1
+    assert len(r.contacts) == 1
     assert fig1_plan.grid.state_start(r.states[0]) == 20.0
-    assert r.max_volume == fig1_plan.contact(3).capacity
+    row = _printed(fig1_plan, r)
+    assert row["expiration"] == "30.0"
+    assert row["max_volume"] == str(fig1_plan.contact(3).capacity)
 
 
 def test_route_attributes_broken_chain(fig1_plan):
@@ -142,7 +154,7 @@ def test_k_best_three_node(fig1_plan):
     routes = k_best_routes(fig1_plan, 1, 3, 0.0, 2)
     assert [r.contacts for r in routes] == [(1, 2), (3,)]
     assert [fig1_plan.grid.state_end(r.states[-1]) for r in routes] == [20.0, 30.0]
-    assert [r.hops for r in routes] == [2, 1]
+    assert [len(r.contacts) for r in routes] == [2, 1]
 
 
 def test_k_best_k1_matches_earliest(fig1_plan):
@@ -157,7 +169,7 @@ def test_route_table_three_node(fig1_plan):
     assert len(routes) == 1
     assert routes[0].contacts == (2,)
     assert fig1_plan.grid.state_end(routes[0].states[-1]) == 20.0
-    assert routes[0].hops == 1
+    assert len(routes[0].contacts) == 1
 
 
 def test_route_table_empty_destinations(fig1_plan):
@@ -199,7 +211,7 @@ def test_earliest_route_matches_enumeration_on_seeded_plans():
             delivery, hops, ids = expected[0]
             assert got.contacts == ids
             assert plan.grid.state_end(got.states[-1]) == pytest.approx(delivery)
-            assert got.hops == hops
+            assert len(got.contacts) == hops
 
 
 def test_earliest_route_with_suppressions_matches_enumeration():
@@ -317,6 +329,7 @@ def test_routes_never_revisit_nodes_and_schedule_increases():
         plan = random_small_plan(rng, max_contacts)
         nodes = sorted(plan.node_ids)
         src, dst = nodes[0], nodes[-1]
+        windows = scalar_windows(plan)
         for r in k_best_routes(plan, src, dst, 0.0, k):
             visited = [src] + [plan.contact(c).to_node for c in r.contacts]
             assert len(set(visited)) == len(visited)
@@ -325,7 +338,7 @@ def test_routes_never_revisit_nodes_and_schedule_increases():
             avail = 0
             states = []
             for cid in r.contacts:
-                first, last = plan.windows[cid]
+                first, last = windows[cid].first, windows[cid].last
                 q = max(avail + 1, first)
                 assert q <= last
                 avail = q

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgrlab.contact_graph import build_route_table, contact_index, route_table_csv
 from cgrlab.contact_plan import (
     Contact,
     ContactPlan,
@@ -28,7 +29,8 @@ def test_parse_three_node_plan(fig1_plan):
     assert len(fig1_plan.contacts) == 3
     c1 = fig1_plan.contact(1)
     assert (c1.from_node, c1.to_node, c1.start, c1.end, c1.capacity) == (1, 2, 0.0, 10.0, 10)
-    assert fig1_plan.windows[1].states == range(1, 2)
+    window = contact_index(fig1_plan).contacts[1]
+    assert (window.first, window.last) == (1, 1)
 
 
 def test_parse_header_only_gives_empty_plan():
@@ -179,8 +181,10 @@ def test_integer_fields_of_2_pow_53_are_accepted_and_volumes_stay_exact():
     text = f"plan 3 10\nnode {big - 1} inf\nnode {big} inf\ncontact {big} {big} {big - 1} 0 30 {big}\n"
     plan = parse_contact_plan(text)
     assert plan.contact(big) == Contact(big, big, big - 1, 0.0, 30.0, big)
-    assert plan.volumes == {big: 3 * big}
+    assert contact_index(plan).volumes == {big: 3 * big}
     assert serialize_contact_plan(plan) == text
+    routes = route_table_csv(build_route_table(plan, big, 0.0, 1, {big - 1}))
+    assert routes.splitlines()[1].split(",")[-1] == "27021597764222976"
 
 
 def test_unknown_record_type_rejected():
@@ -310,19 +314,21 @@ def test_round_trip_property(plan):
 @settings(max_examples=100, deadline=None)
 def test_windows_are_the_grid_boundaries_of_each_contact(plan):
     grid = plan.grid
+    index = contact_index(plan)
     for c in plan.contacts:
-        first, last = plan.windows[c.contact_id]
+        _, _, _, first, last, _ = index.contacts[c.contact_id]
         assert first == grid.floor_boundary_index(c.start) + 1
         assert last == grid.floor_boundary_index(c.end)
         assert 1 <= first <= last <= grid.state_count
-        assert plan.volumes[c.contact_id] == c.capacity * (last - first + 1)
-    # The simulator transmits in rank order: plan order, (start, contact_id).
-    assert sorted(plan.ranks.values()) == list(range(len(plan.contacts)))
-    assert sorted(plan.ranks, key=plan.ranks.__getitem__) == [
+        assert index.volumes[c.contact_id] == c.capacity * (last - first + 1)
+    # The simulator transmits in plan position order, (start, contact_id).
+    positions = {cid: c.position for cid, c in index.contacts.items()}
+    assert sorted(positions.values()) == list(range(len(plan.contacts)))
+    assert sorted(positions, key=positions.__getitem__) == [
         c.contact_id for c in sorted(plan.contacts, key=lambda c: (c.start, c.contact_id))
     ]
     assert list(zip(plan.arcs.state.tolist(), plan.arcs.contact_id.tolist())) == sorted(
-        (q, c.contact_id) for c in plan.contacts for q in plan.windows[c.contact_id].states
+        (q, cid) for cid, c in index.contacts.items() for q in range(c.first, c.last + 1)
     )
 
 
@@ -390,7 +396,7 @@ def plan_texts(draw):
 @given(plan_texts())
 @settings(max_examples=400, deadline=None)
 def test_parser_accepts_round_trips_or_raises_plan_error(text):
-    # Nothing here may read plan.windows or plan.arcs: a plan
+    # Nothing here may read plan.arcs or the contact index: a plan
     # may have up to 10**6 states.
     try:
         plan = parse_contact_plan(text)

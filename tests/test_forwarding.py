@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgrlab.contact_graph import Route, RouteTable, build_route_table
+from cgrlab.contact_graph import Route, RouteTable, build_route_table, contact_index
 from cgrlab.contact_plan import Contact, ContactPlan, NodeSpec, StateGrid
 from cgrlab.forwarding import CapacityLedger, Policy, book_cohort
 
@@ -19,7 +19,7 @@ def n1_table(fig1_plan):
 
 @pytest.fixture
 def ledger(fig1_plan):
-    return CapacityLedger(fig1_plan.volumes)
+    return CapacityLedger(contact_index(fig1_plan).volumes)
 
 
 def _book(table, policy, n, q, deadline, ledger, dst=3):
@@ -69,7 +69,7 @@ def test_select_route_policies(n1_table, ledger):
     routes = n1_table.routes_for(3)
     # The order the table lists its routes in does not matter.
     for listed in (routes, routes[::-1]):
-        table = RouteTable(1, n1_table.grid, {3: list(listed)})
+        table = RouteTable(1, n1_table.plan, {3: list(listed)})
         choices = _choices(table, 1, 3, ledger)
         assert choices[Policy.DELTIME].contacts == (1, 2)
         assert choices[Policy.HOPS].contacts == (3,)
@@ -78,19 +78,15 @@ def test_select_route_policies(n1_table, ledger):
 
 def test_select_route_singleton_agreement(n1_table, ledger):
     for r in n1_table.routes_for(3):
-        table = RouteTable(1, n1_table.grid, {3: [r]})
+        table = RouteTable(1, n1_table.plan, {3: [r]})
         choices = _choices(table, 1, 3, ledger)
         assert choices[Policy.DELTIME] == choices[Policy.HOPS] == r
 
 
-def _route(contacts, delivery, hops):
-    return Route(
-        contacts=tuple(contacts),
-        hops=hops,
-        expiration=100.0,
-        max_volume=10,
-        states=(delivery,),
-    )
+def _route(first_contact, delivery, hops):
+    """A route over hops distinct contacts, from first_contact on, that
+    delivers in state delivery."""
+    return Route(tuple(range(first_contact, first_contact + hops)), (delivery,) * hops)
 
 
 @given(
@@ -104,12 +100,12 @@ def _route(contacts, delivery, hops):
 @settings(max_examples=50, deadline=None)
 def test_hops_choice_never_uses_more_hops(pairs):
     routes = [
-        _route((i + 1,), delivery, hops) for i, (delivery, hops) in enumerate(pairs)
+        _route(10 * i + 1, delivery, hops) for i, (delivery, hops) in enumerate(pairs)
     ]
-    table = RouteTable(1, StateGrid(10, 10.0), {3: routes})
-    ledger = CapacityLedger({i + 1: 10 for i in range(len(routes))})
+    table = RouteTable(1, ContactPlan(StateGrid(10, 10.0), [], []), {3: routes})
+    ledger = CapacityLedger({cid: 10 for r in routes for cid in r.contacts})
     choices = _choices(table, 1, 10, ledger)
-    assert choices[Policy.HOPS].hops <= choices[Policy.DELTIME].hops
+    assert len(choices[Policy.HOPS].contacts) <= len(choices[Policy.DELTIME].contacts)
 
 
 def test_book_capacity_decrements_all_contacts(fig1_plan, n1_table, ledger):
@@ -153,14 +149,14 @@ def test_book_cohort_drops_what_no_route_delivers_by_its_deadline(n1_table, ledg
 def test_book_cohort_congested_relay(fig1_plan):
     # the relay's own traffic has consumed its delivering contact
     table = build_route_table(fig1_plan, 2, 0.0, 2, {3})
-    ledger = CapacityLedger(fig1_plan.volumes)
+    ledger = CapacityLedger(contact_index(fig1_plan).volumes)
     (direct,) = table.routes_for(3)
     assert _book(table, Policy.DELTIME, 12, 1, 2, ledger) == [(direct, 10)]
     assert _book(table, Policy.DELTIME, 1, 2, 2, ledger) == []
 
 
 def test_ledger_never_negative(fig1_plan, n1_table):
-    ledger = CapacityLedger(fig1_plan.volumes)
+    ledger = CapacityLedger(contact_index(fig1_plan).volumes)
     booked = 0
     while _book(n1_table, Policy.DELTIME, 1, 1, 3, ledger):
         booked += 1
@@ -168,7 +164,7 @@ def test_ledger_never_negative(fig1_plan, n1_table):
     for cid in (1, 2, 3):
         assert ledger.residual(cid) >= 0
     # One cohort of 25 books the same 20 and drops 5.
-    cohort = CapacityLedger(fig1_plan.volumes)
+    cohort = CapacityLedger(contact_index(fig1_plan).volumes)
     two_hop, direct = n1_table.routes_for(3)
     assert _book(n1_table, Policy.DELTIME, 25, 1, 3, cohort) == [(two_hop, 10), (direct, 10)]
     assert [cohort.residual(cid) for cid in (1, 2, 3)] == [0, 0, 0]
@@ -214,7 +210,7 @@ def decisions(draw):
     for dst in dests:
         table.routes[dst] = draw(st.permutations(table.routes_for(dst)))
     ledger = CapacityLedger(
-        {cid: volume - draw(st.integers(0, volume)) for cid, volume in sorted(plan.volumes.items())}
+        {cid: volume - draw(st.integers(0, volume)) for cid, volume in sorted(contact_index(plan).volumes.items())}
     )
 
     cohorts = []
@@ -233,7 +229,7 @@ def test_forwarding_matches_the_filter_then_select_reference(case):
     # A cohort of n books what n packets decided one by one by the float
     # reference book, route for route and ledger for ledger.
     plan, table, ledger, cohorts = case
-    grid = table.grid
+    grid = table.plan.grid
     reference = copy.deepcopy(ledger)
     for pkt, q, n, policy in cohorts:
         deadline = grid.floor_boundary_index(pkt.deadline)
@@ -244,6 +240,6 @@ def test_forwarding_matches_the_filter_then_select_reference(case):
         assert got == [
             reference_forward_or_drop(pkt, table, t_now, reference, policy) for _ in range(n)
         ]
-        assert [ledger.residual(cid) for cid in plan.volumes] == [
-            reference.residual(cid) for cid in plan.volumes
+        assert [ledger.residual(cid) for cid in contact_index(plan).volumes] == [
+            reference.residual(cid) for cid in contact_index(plan).volumes
         ]

@@ -1,5 +1,5 @@
-"""The plan's columns and derived views against the scalar grid rule, and
-the bench paths' freedom from `Contact` objects."""
+"""The plan's columns, arcs and contact index against the scalar grid rule,
+and the bench paths' freedom from `Contact` objects."""
 
 import random
 from dataclasses import replace
@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from cgrlab import experiments, lp_oracle
+from cgrlab.contact_graph import contact_index
 from cgrlab.contact_plan import (
     Contact,
     ContactPlan,
@@ -18,41 +19,30 @@ from cgrlab.contact_plan import (
     serialize_contact_plan,
 )
 
+from oracles import scalar_windows
 from test_experiments import study_config
 
 
-def _scalar_views(plan: ContactPlan):
-    """Windows (in plan order), arcs, ranks and volumes worked out contact
-    by contact with `StateGrid.floor_boundary_index`."""
-    grid = plan.grid
-    windows = [
-        (grid.floor_boundary_index(c.start) + 1, grid.floor_boundary_index(c.end))
-        for c in plan.contacts
-    ]
-    arcs = sorted(
-        ((q, c.contact_id, c.from_node, c.to_node, c.capacity)
-         for c, (first, last) in zip(plan.contacts, windows)
-         for q in range(first, last + 1)),
-        key=lambda arc: (arc[0], arc[1]),
-    )
-    ranks = {c.contact_id: i for i, c in enumerate(plan.contacts)}
-    volumes = {
-        c.contact_id: c.capacity * max(0, last - first + 1)
-        for c, (first, last) in zip(plan.contacts, windows)
-    }
-    return windows, arcs, ranks, volumes
-
-
 def _assert_views_match(plan: ContactPlan) -> None:
-    windows, arcs, ranks, volumes = _scalar_views(plan)
+    """The window columns, the contact index and the arcs against the
+    windows, volumes and plan positions worked out contact by contact."""
+    scalar = scalar_windows(plan)
     cols = plan.columns
-    assert list(zip(cols.first.tolist(), cols.last.tolist())) == windows
-    assert plan.windows == {c.contact_id: w for c, w in zip(plan.contacts, windows)}
+    assert list(zip(cols.first.tolist(), cols.last.tolist())) == [
+        (w.first, w.last) for w in scalar.values()
+    ]
+    index = contact_index(plan)
+    assert index.contacts == {
+        cid: (w.contact.from_node, w.contact.to_node, w.contact.capacity, w.first, w.last, i)
+        for i, (cid, w) in enumerate(scalar.items())
+    }
+    assert index.volumes == {cid: w.volume for cid, w in scalar.items()}
     a = plan.arcs
     assert list(zip(*(column.tolist() for column in (
-        a.state, a.contact_id, a.from_node, a.to_node, a.capacity)))) == arcs
-    assert plan.ranks == ranks
-    assert plan.volumes == volumes
+        a.state, a.contact_id, a.from_node, a.to_node, a.capacity)))) == sorted(
+        (q, cid, w.contact.from_node, w.contact.to_node, w.contact.capacity)
+        for cid, w in scalar.items() for q in w.states
+    )
 
 
 def _times(rng: random.Random, grid: StateGrid) -> list[float]:

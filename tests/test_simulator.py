@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cgrlab.contact_graph import build_route_table
+from cgrlab.contact_graph import build_route_table, build_route_tables
 from cgrlab.contact_plan import Contact, ContactPlan, NodeSpec, StateGrid, parse_contact_plan
 from cgrlab.forwarding import Policy
 from cgrlab.lp_oracle import build_lp, demands_to_commodities, lp_metrics, solve_lp
@@ -113,6 +113,17 @@ def test_same_node_demand_delivers_immediately(fig1_plan):
     result = run_simulation(fig1_plan, [Demand(1, 1, 0.0, math.inf, 2)], Policy.HOPS, 2)
     assert result.count("delivered_on_time") == 2
     assert result.total_transmissions() == 0
+
+
+def test_a_simulation_fills_no_plan_cache(fig1_plan, fig1_demands):
+    # What a run reads of the plan is ready once its route tables are, so
+    # the first run on a plan costs what the second does.
+    tables = build_route_tables(fig1_plan, 2, {d.dst for d in fig1_demands})
+    keys, index = set(vars(fig1_plan)), fig1_plan._routing
+    for policy in Policy:
+        run_simulation(fig1_plan, fig1_demands, policy, 2, tables)
+        assert set(vars(fig1_plan)) == keys
+        assert fig1_plan._routing is index
 
 
 def test_determinism(fig1_plan, fig1_demands):
